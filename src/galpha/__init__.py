@@ -33,6 +33,7 @@ from .params import (
 from .problems import (
     ManufacturedCase,
     SemiDiscreteSystem,
+    SymmetricBanded,
     heat_fem_1d,
     l2_error,
     manufactured_heat,
@@ -71,6 +72,7 @@ __all__ = [
     "StateVector",
     "StepWorkspace",
     "SweepResult",
+    "SymmetricBanded",
     "BELL_CLOSED_FORMS",
     "amplification_matrix",
     "asymptotic_eigenvalues",

@@ -11,16 +11,10 @@ block m holding tau^m u^(m), which makes every update dimensionless.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, inf
 
 import numpy as np
-from scipy.linalg import (
-    LinAlgError,
-    cho_factor,
-    cho_solve,
-    cho_solve_banded,
-    cholesky_banded,
-)
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .exceptions import ConfigurationError, LinearSolveError
 from .params import validate_stability
@@ -60,26 +54,25 @@ class StateVector:
 
 
 class _Factorization:
-    """Cholesky factor of one SPD stage matrix, dense or banded."""
+    """Banded Cholesky factor of one SPD matrix in SymmetricBanded storage."""
 
-    def __init__(self, S, banded):
-        self.banded = banded
-        try:
-            if banded:
-                n = S.shape[0]
-                ab = np.zeros((2, n))
-                ab[0, 1:] = np.diag(S, 1)
-                ab[1, :] = np.diag(S)
-                self.fac = cholesky_banded(ab, lower=False)
-            else:
-                self.fac = cho_factor(S, lower=False)
-        except LinAlgError as exc:
-            raise LinearSolveError("stage matrix factorization failed: %s" % exc) from exc
+    def __init__(self, A):
+        if not np.all(np.isfinite(A.ab)):
+            raise LinearSolveError("stage matrix has non-finite entries")
+        self.fac, info = dpbtrf(A.ab, lower=0)
+        if info != 0:
+            raise LinearSolveError(
+                "stage matrix factorization failed: leading minor %d is not "
+                "positive definite" % info
+            )
 
     def solve(self, rhs):
-        if self.banded:
-            return cho_solve_banded((self.fac, False), rhs)
-        return cho_solve(self.fac, rhs)
+        return dpbtrs(self.fac, rhs, lower=0)[0]
+
+
+def _check_tau(tau):
+    if not 0.0 < tau < inf:
+        raise ConfigurationError("tau must be positive and finite, got %r" % (tau,))
 
 
 @dataclass
@@ -90,6 +83,7 @@ class StepWorkspace:
     tau: float
     n: int
     factors: list
+    inv_fact: tuple  # 1/i! for the Taylor predictors, i = 0..2k-1
     n_factorizations: int = 0
 
     @classmethod
@@ -99,16 +93,16 @@ class StepWorkspace:
             raise ConfigurationError(
                 "parameters violate the stability bounds: " + "; ".join(report.violations)
             )
-        if tau <= 0:
-            raise ConfigurationError("tau must be positive, got %r" % (tau,))
-        ws = cls(params=params, tau=float(tau), n=system.n, factors=[])
+        _check_tau(tau)
         k = params.k
+        ws = cls(params=params, tau=float(tau), n=system.n, factors=[],
+                 inv_fact=tuple(1.0 / factorial(i) for i in range(2 * k)))
         for j in range(k):
             coef = params.gamma[j] * tau
             if j == k - 1:
                 coef *= params.alpha_f
-            S = params.alpha[j] * system.M + coef * system.K
-            ws.factors.append(_Factorization(S, system.tridiagonal))
+            S = system.M.combine(params.alpha[j], system.K, coef)
+            ws.factors.append(_Factorization(S))
             ws.n_factorizations += 1
         return ws
 
@@ -125,8 +119,7 @@ def init_state(system, U0, k, tau, t0=0.0):
     """
     if k < 1:
         raise ConfigurationError("stage count k must be >= 1, got %r" % (k,))
-    if tau <= 0:
-        raise ConfigurationError("tau must be positive, got %r" % (tau,))
+    _check_tau(tau)
     need = 2 * k - 2
     if system.m_max is not None and system.m_max < need:
         raise ConfigurationError(
@@ -138,7 +131,7 @@ def init_state(system, U0, k, tau, t0=0.0):
         raise ConfigurationError(
             "U0 must have shape (%d,), got %s" % (system.n, U0.shape)
         )
-    fac = _Factorization(system.M, system.tridiagonal)
+    fac = _Factorization(system.M)
     data = np.empty((2 * k, system.n))
     data[0] = U0
     cur = U0
@@ -163,29 +156,27 @@ def step(state, system, params, t_n, tau, ws):
             "state was scaled with tau = %r, step called with tau = %r" % (state.tau, tau)
         )
     W = state.data
-    nblocks = 2 * k
+    M, K = system.M, system.K
+    # Taylor predictors of every block over the rest of the stack:
+    # T[m] = sum_i W[m + i] / i!, summed in ascending i
+    T = W.copy()
+    for i in range(1, 2 * k):
+        T[:2 * k - i] += ws.inv_fact[i] * W[i:]
     new = np.empty_like(W)
-    inv_fact = [1.0 / factorial(i) for i in range(nblocks)]
     af = params.alpha_f
     for j in range(k, 0, -1):
         e, o = 2 * j - 2, 2 * j - 1
         g = params.gamma[j - 1]
         tau_o = tau ** o
         if j < k:
-            # Taylor predictors over the remaining stack
-            t_e = np.zeros(system.n)
-            for i in range(nblocks - e):
-                t_e += inv_fact[i] * W[e + i]
-            t_o = np.zeros(system.n)
-            for i in range(nblocks - o):
-                t_o += inv_fact[i] * W[o + i]
-            rhs = (-(system.M @ t_o) - tau * (system.K @ t_e)
+            t_e, t_o = T[e], T[o]
+            rhs = (-(M @ t_o) - tau * (K @ t_e)
                    + tau_o * system.forcing_derivative(e, t_n + tau))
             q = ws.factors[j - 1].solve(rhs)
             new[e] = t_e + g * q
             new[o] = t_o + q
         else:
-            rhs = (-(system.M @ W[o]) - tau * (system.K @ (W[e] + af * W[o]))
+            rhs = (-(M @ W[o]) - tau * (K @ (W[e] + af * W[o]))
                    + tau_o * system.forcing_derivative(e, t_n + af * tau))
             d = ws.factors[j - 1].solve(rhs)
             new[e] = W[e] + W[o] + g * d

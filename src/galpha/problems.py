@@ -1,8 +1,9 @@
 """Test systems: scalar decay modes and a 1D linear-FEM heat harness.
 
 All systems share one shape: M u' + K u = F(t) with symmetric M (positive
-definite) and K (positive semidefinite), plus analytic time derivatives of the
-forcing up to any order the integrator requests.
+definite) and K (positive semidefinite) in symmetric band storage, plus
+analytic time derivatives of the forcing up to any order the integrator
+requests.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from .exceptions import ConfigurationError
 
 __all__ = [
+    "SymmetricBanded",
     "SemiDiscreteSystem",
     "ManufacturedCase",
     "scalar_mode",
@@ -24,36 +26,114 @@ __all__ = [
 ]
 
 
+class SymmetricBanded:
+    """Symmetric band matrix in LAPACK upper band storage.
+
+    ab has shape (u + 1, n) for half-bandwidth u: row u holds the diagonal
+    and row u - d the d-th superdiagonal, ab[u - d, j] = A[j - d, j], with
+    its first d entries unused. This is the layout LAPACK's pbtrf/pbtrs read.
+    A @ x of a vector costs O(u n); toarray() builds the dense matrix for
+    oracles.
+    """
+
+    # ndarray @ SymmetricBanded defers to __rmatmul__ instead of densifying
+    __array_ufunc__ = None
+
+    def __init__(self, ab):
+        ab = np.array(ab, dtype=float)
+        if ab.ndim != 2 or ab.shape[1] < 1:
+            raise ConfigurationError("band storage must be (u + 1, n), got shape %s"
+                                     % (ab.shape,))
+        self.ab = ab
+
+    @classmethod
+    def from_dense(cls, A):
+        """Upper band of a square matrix; u is its outermost nonzero diagonal."""
+        A = np.asarray(A, dtype=float)
+        n = A.shape[0]
+        rows, cols = np.nonzero(A)
+        u = int(np.max(np.abs(cols - rows))) if rows.size else 0
+        ab = np.zeros((u + 1, n))
+        for d in range(u + 1):
+            ab[u - d, d:] = np.diagonal(A, d)
+        return cls(ab)
+
+    @property
+    def u(self):
+        return self.ab.shape[0] - 1
+
+    @property
+    def n(self):
+        return self.ab.shape[1]
+
+    @property
+    def shape(self):
+        return (self.n, self.n)
+
+    def toarray(self):
+        n, u = self.n, self.u
+        A = np.zeros((n, n))
+        i = np.arange(n)
+        for d in range(u + 1):
+            A[i[:n - d], i[d:]] = self.ab[u - d, d:]
+            A[i[d:], i[:n - d]] = self.ab[u - d, d:]
+        return A
+
+    def __array__(self, dtype=None, copy=None):
+        A = self.toarray()
+        return A if dtype is None else A.astype(dtype)
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise ValueError("cannot multiply an %d x %d band matrix by shape %s"
+                             % (self.n, self.n, x.shape))
+        ab, u = self.ab, self.u
+        y = ab[u] * x
+        for d in range(1, u + 1):
+            y[d:] += ab[u - d, d:] * x[:-d]
+        for d in range(1, u + 1):
+            y[:-d] += ab[u - d, d:] * x[d:]
+        return y
+
+    # x @ A = A @ x for symmetric A and a vector x
+    __rmatmul__ = __matmul__
+
+    def combine(self, a, other, b):
+        """a * self + b * other on the wider of the two bands."""
+        u = max(self.u, other.u)
+        ab = np.zeros((u + 1, self.n))
+        ab[u - self.u:] = a * self.ab
+        ab[u - other.u:] += b * other.ab
+        return SymmetricBanded(ab)
+
+
 @dataclass
 class SemiDiscreteSystem:
     """Matrices and forcing of M u' + K u = F.
 
-    forcing(m, t) returns the m-th time derivative F^(m)(t) as a length-n
-    vector; m_max is the highest available derivative order (None: unlimited).
-    tridiagonal marks systems whose matrices are tridiagonal so solvers can
-    use banded factorizations.
+    M and K are stored as SymmetricBanded; dense input is checked for
+    symmetry and converted once, with the band inferred from its nonzero
+    diagonals. forcing(m, t) returns the m-th time derivative F^(m)(t) as a
+    length-n vector; m_max is the highest available derivative order (None:
+    unlimited).
     """
 
     n: int
-    M: np.ndarray
-    K: np.ndarray
+    M: SymmetricBanded
+    K: SymmetricBanded
     forcing: object
     m_max: object = None
-    tridiagonal: bool = False
-    lambda_theta: object = None
 
     def __post_init__(self):
-        self.M = np.asarray(self.M, dtype=float)
-        self.K = np.asarray(self.K, dtype=float)
         n = self.n
-        if self.M.shape != (n, n) or self.K.shape != (n, n):
+        if np.shape(self.M) != (n, n) or np.shape(self.K) != (n, n):
             raise ConfigurationError(
                 "expected %d x %d matrices, got M%s and K%s"
-                % (n, n, self.M.shape, self.K.shape)
+                % (n, n, np.shape(self.M), np.shape(self.K))
             )
-        for name, A in (("mass", self.M), ("stiffness", self.K)):
-            if not np.allclose(A, A.T, rtol=1e-12, atol=1e-12):
-                raise ConfigurationError("%s matrix is not symmetric" % name)
+        self.M = _as_banded(self.M, "mass")
+        self.K = _as_banded(self.K, "stiffness")
 
     def forcing_derivative(self, m, t):
         """F^(m)(t), guarding the available derivative order."""
@@ -65,6 +145,15 @@ class SemiDiscreteSystem:
         return np.asarray(self.forcing(m, t), dtype=float)
 
 
+def _as_banded(A, name):
+    if isinstance(A, SymmetricBanded):
+        return A
+    A = np.asarray(A, dtype=float)
+    if not np.allclose(A, A.T, rtol=1e-12, atol=1e-12):
+        raise ConfigurationError("%s matrix is not symmetric" % name)
+    return SymmetricBanded.from_dense(A)
+
+
 def scalar_mode(lambda_theta):
     """Single-dof decay mode: M = [1], K = [lambda], F = 0."""
     lam = float(lambda_theta)
@@ -74,59 +163,46 @@ def scalar_mode(lambda_theta):
     def zero_forcing(m, t):
         return np.zeros(1)
 
-    return SemiDiscreteSystem(
-        n=1,
-        M=np.array([[1.0]]),
-        K=np.array([[lam]]),
-        forcing=zero_forcing,
-        m_max=None,
-        tridiagonal=False,
-        lambda_theta=lam,
-    )
+    return SemiDiscreteSystem(n=1, M=[[1.0]], K=[[lam]], forcing=zero_forcing)
 
 
-def _assemble_fem(elements, kappa):
-    """Element-loop assembly of interior-dof M and K on a uniform mesh of (0,1)."""
-    ne = int(elements)
-    h = 1.0 / ne
-    n = ne - 1
-    Me = h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-    Ke = kappa / h * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    M = np.zeros((n, n))
-    K = np.zeros((n, n))
-    for e in range(ne):
-        for a in range(2):
-            ia = e + a - 1  # interior index of global node e + a
-            if not 0 <= ia < n:
-                continue
-            for b in range(2):
-                ib = e + b - 1
-                if not 0 <= ib < n:
-                    continue
-                M[ia, ib] += Me[a, b]
-                K[ia, ib] += Ke[a, b]
-    return M, K, h
+def _element_band(n, diag, off):
+    """Assembled band of the element matrix [[diag, off], [off, diag]] on a
+    uniform mesh: each interior node takes diag from both of its elements."""
+    ab = np.zeros((2, n))
+    ab[0, 1:] = off
+    ab[1] = diag + diag
+    return SymmetricBanded(ab)
+
+
+def _fem_mass(elements):
+    h = 1.0 / elements
+    return _element_band(elements - 1, h / 6.0 * 2.0, h / 6.0 * 1.0)
 
 
 def heat_fem_1d(elements, kappa):
     """Linear-element discretization of u_t = kappa u_xx on (0,1), u(0)=u(1)=0.
 
-    Returns the interior-dof system with zero forcing; manufactured cases
-    attach their load vectors through ManufacturedCase.assemble.
+    Returns the interior-dof system with zero forcing. M and K are built as
+    bands of half-width 1 in closed form, each entry the same sum of element
+    entries that an element loop would add up; manufactured cases attach
+    their load vector through ManufacturedCase.assemble.
     """
     if elements < 2:
         raise ConfigurationError("need at least 2 elements, got %r" % (elements,))
     if kappa <= 0:
         raise ConfigurationError("kappa must be positive, got %r" % (kappa,))
-    M, K, _ = _assemble_fem(elements, float(kappa))
+    ne = int(elements)
+    n = ne - 1
+    h = 1.0 / ne
+    kappa = float(kappa)
+    M = _fem_mass(ne)
+    K = _element_band(n, kappa / h * 1.0, kappa / h * -1.0)
 
     def zero_forcing(m, t):
-        return np.zeros(M.shape[0])
+        return np.zeros(n)
 
-    return SemiDiscreteSystem(
-        n=M.shape[0], M=M, K=K, forcing=zero_forcing,
-        m_max=None, tridiagonal=True,
-    )
+    return SemiDiscreteSystem(n=n, M=M, K=K, forcing=zero_forcing)
 
 
 _GAUSS2 = (-1.0 / sqrt(3.0), 1.0 / sqrt(3.0))
@@ -134,32 +210,41 @@ _GAUSS2 = (-1.0 / sqrt(3.0), 1.0 / sqrt(3.0))
 
 @dataclass(frozen=True)
 class ManufacturedCase:
-    """Exact solution with analytic forcing derivatives for the heat harness."""
+    """Exact solution with analytic forcing derivatives for the heat harness.
+
+    The forcing separates as f(x, t) = f_space(x) * f_time(0, t), and
+    f_time(m, t) is the m-th time derivative of the time factor, so one
+    quadrature of f_space gives the load vector of every derivative at every
+    time.
+    """
 
     name: str
     kappa: float
-    u: object       # u(x, t)
-    u_t: object     # du/dt
-    u_xx: object    # d2u/dx2
-    f: object       # forcing f = u_t - kappa u_xx
-    f_dt: object    # f_dt(m, x, t) = m-th time derivative of f
-    u0: object      # u(x, 0)
+    u: object        # u(x, t)
+    u_t: object      # du/dt
+    u_xx: object     # d2u/dx2
+    f_space: object  # f_space(x): space profile of the forcing
+    f_time: object   # f_time(m, t): m-th time derivative of its time factor
+    u0: object       # u(x, 0)
+
+    def f(self, x, t):
+        """The forcing f = u_t - kappa u_xx."""
+        return self.f_space(x) * self.f_time(0, t)
 
     def assemble(self, elements):
-        """Interior-dof system for this case with Gauss-quadrature load vectors."""
+        """Interior-dof system for this case with its Gauss-quadrature load vector."""
         base = heat_fem_1d(elements, self.kappa)
+        load = _load_vector(elements, self.f_space)
+        f_time = self.f_time
 
         def forcing(m, t):
-            return _case_load(elements, self.f_dt, m, t)
+            return f_time(m, t) * load
 
-        return SemiDiscreteSystem(
-            n=base.n, M=base.M, K=base.K, forcing=forcing,
-            m_max=None, tridiagonal=True,
-        )
+        return SemiDiscreteSystem(n=base.n, M=base.M, K=base.K, forcing=forcing)
 
 
-def _case_load(elements, f_dt, m, t):
-    """Load vector of the m-th forcing time derivative at time t."""
+def _load_vector(elements, g):
+    """Load vector of the space profile g by 2-point Gauss quadrature."""
     ne = int(elements)
     h = 1.0 / ne
     n = ne - 1
@@ -168,7 +253,7 @@ def _case_load(elements, f_dt, m, t):
     idx = np.arange(ne)
     for xi in _GAUSS2:
         xg = left + h * (xi + 1.0) / 2.0
-        vals = f_dt(m, xg, t) * (h / 2.0)
+        vals = g(xg) * (h / 2.0)
         # node e gets the (1-xi)/2 share, node e+1 the (1+xi)/2 share
         for nodes, share in ((idx, (1.0 - xi) / 2.0), (idx + 1, (1.0 + xi) / 2.0)):
             interior = (nodes >= 1) & (nodes <= n)
@@ -201,17 +286,18 @@ def manufactured_heat(case_id, kappa=1.0):
     def u_xx(x, t):
         return -pi ** 2 * u(x, t)
 
-    def f(x, t):
-        return amp * np.sin(pi * np.asarray(x)) * np.exp(-t)
+    def f_space(x):
+        return amp * np.sin(pi * np.asarray(x))
 
-    def f_dt(m, x, t):
-        return (-1.0) ** m * f(x, t)
+    def f_time(m, t):
+        return (-1.0) ** m * np.exp(-t)
 
     def u0(x):
         return np.sin(pi * np.asarray(x))
 
     return ManufacturedCase(
-        name="sin-decay", kappa=kap, u=u, u_t=u_t, u_xx=u_xx, f=f, f_dt=f_dt, u0=u0,
+        name="sin-decay", kappa=kap, u=u, u_t=u_t, u_xx=u_xx,
+        f_space=f_space, f_time=f_time, u0=u0,
     )
 
 
@@ -229,5 +315,4 @@ def l2_error(U_h, case, t):
     h = 1.0 / ne
     x = (np.arange(1, n + 1)) * h
     e = U - case.u(x, t)
-    M, _, _ = _assemble_fem(ne, 1.0)
-    return float(np.sqrt(e @ (M @ e)))
+    return float(np.sqrt(e @ (_fem_mass(ne) @ e)))

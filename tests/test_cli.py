@@ -199,7 +199,7 @@ def test_order_check_clean_slopes(tmp_path):
     assert all(r[3] == "true" for r in rows)
     # slopes of the exact residual on ORDER_CHECK_TAUS, from a 60-digit evaluation
     assert float(rows[0][2]) == pytest.approx(2.993299660506695, rel=1e-9)
-    assert float(rows[1][2]) == pytest.approx(5.651692912673461, rel=1e-9)
+    assert float(rows[1][2]) == pytest.approx(5.986141685467558, rel=1e-9)
     assert "degraded" not in footers
 
 
@@ -219,8 +219,8 @@ def test_order_check_perturbation_degrades_slope(tmp_path):
 
 
 def test_order_check_rejects_unsupported_k(tmp_path, capsys):
-    assert run_cli(tmp_path, "order-check", extra=["--k-list", "5"]) == 2
-    assert "order check supports" in capsys.readouterr().err
+    assert run_cli(tmp_path, "order-check", extra=["--k-list", "0"]) == 2
+    assert "k must be >= 1" in capsys.readouterr().err
 
 
 def test_order_check_rejects_vector_rho(tmp_path, capsys):
@@ -352,3 +352,37 @@ def test_console_script_declaration_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_order_check_one_grid_for_every_k(tmp_path):
+    # one asymptotic grid gives the 3k law and a positive drop for every k
+    out = tmp_path / "oc.csv"
+    code = run_cli(tmp_path, "order-check", extra=[
+        "--k-list", "1,2,3,4,5,6", "--rho", 0.5, "--perturb-gamma", 0.01, "--out", out])
+    assert code == 0
+    _, rows, footers = read_table(out)
+    clean = [float(r[2]) for r in rows if r[1] == "0"]
+    for k, slope in enumerate(clean, start=1):
+        assert abs(slope - 3 * k) <= 0.2
+    for k in range(1, 7):
+        assert 0.8 <= float(footers["slope_drop_k%d" % k]) <= 1.5
+    assert footers["degraded"] == "true"
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_solve_rejects_nonfinite_tau(tmp_path, capsys, tau):
+    assert run_cli(tmp_path, "solve", extra=[
+        "--k", 1, "--rho", 1, "--tau", tau, "--steps", 3]) == 2
+    err = capsys.readouterr().err
+    assert "tau must be positive" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("im_min", ["-1e3", "-1e-3"])
+def test_negative_exponent_flag_value(tmp_path, im_min):
+    out = tmp_path / "map.csv"
+    assert run_cli(tmp_path, "stability-map", extra=[
+        "--k", 2, "--rho", 1, "--im-min", im_min, "--im-max", 1,
+        "--resolution", 5, "--out", out]) == 0
+    _, rows, _ = read_table(out)
+    assert float(rows[0][1]) == float(im_min)

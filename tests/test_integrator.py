@@ -1,5 +1,8 @@
 """Self-starting initialization and the k-stage stepping loop."""
 
+import time
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from galpha import (
     StateVector,
     StepWorkspace,
     amplification_matrix,
+    heat_fem_1d,
     init_state,
     integrate,
     manufactured_heat,
@@ -65,6 +69,19 @@ def test_init_state_rejects_singular_mass():
     )
     with pytest.raises(LinearSolveError):
         init_state(system, np.zeros(2), k=1, tau=0.1)
+
+
+def test_init_state_solves_with_a_pentadiagonal_mass():
+    # u = 2: the banded Cholesky path beyond the tridiagonal FEM matrices
+    M = (np.diag(np.full(6, 6.0)) + np.diag(np.full(5, -4.0), 1) + np.diag(np.full(5, -4.0), -1)
+         + np.diag(np.full(4, 1.0), 2) + np.diag(np.full(4, 1.0), -2))
+    K = np.diag(np.arange(1.0, 7.0))
+    system = SemiDiscreteSystem(n=6, M=M, K=K, forcing=lambda m, t: np.ones(6))
+    assert system.M.u == 2
+    U0 = np.linspace(-1.0, 1.0, 6)
+    state = init_state(system, U0, k=1, tau=1.0)
+    np.testing.assert_allclose(state.data[1], np.linalg.solve(M, np.ones(6) - K @ U0),
+                               rtol=1e-12)
 
 
 def test_init_state_validates_inputs():
@@ -222,3 +239,70 @@ def test_integrate_zero_steps():
 def test_integrate_rejects_negative_steps():
     with pytest.raises(ConfigurationError, match="n_steps"):
         integrate(scalar_mode(1.0), np.array([1.0]), params_from_rho([0.5]), 0.1, -1)
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+def test_nonfinite_tau_rejected(tau):
+    system = scalar_mode(1.0)
+    with pytest.raises(ConfigurationError, match="tau must be positive"):
+        init_state(system, np.array([1.0]), k=1, tau=tau)
+    with pytest.raises(ConfigurationError, match="tau must be positive"):
+        StepWorkspace.build(system, params_from_rho([0.5]), tau)
+
+
+def _dense_step(W, system, prm, t_n, tau):
+    # the stage equations on dense matrices, solved by LU
+    M, K = system.M.toarray(), system.K.toarray()
+    k = prm.k
+    new = np.empty_like(W)
+    for j in range(1, k + 1):
+        e, o = 2 * j - 2, 2 * j - 1
+        g, a = prm.gamma[j - 1], prm.alpha[j - 1]
+        if j < k:
+            t_e = sum(W[e + i] / factorial(i) for i in range(2 * k - e))
+            t_o = sum(W[o + i] / factorial(i) for i in range(2 * k - o))
+            S = a * M + g * tau * K
+            rhs = -M @ t_o - tau * K @ t_e + tau ** o * system.forcing(e, t_n + tau)
+            q = np.linalg.solve(S, rhs)
+            new[e], new[o] = t_e + g * q, t_o + q
+        else:
+            af = prm.alpha_f
+            S = a * M + af * g * tau * K
+            rhs = (-M @ W[o] - tau * K @ (W[e] + af * W[o])
+                   + tau ** o * system.forcing(e, t_n + af * tau))
+            d = np.linalg.solve(S, rhs)
+            new[e], new[o] = W[e] + W[o] + g * d, W[o] + d
+    return new
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_banded_step_matches_dense_stage_equations(k):
+    rng = np.random.default_rng(40 + k)
+    system = manufactured_heat("sin-decay").assemble(16)
+    prm = params_from_rho(rng.uniform(0.0, 1.0, k).tolist())
+    tau = 0.05
+    W = rng.standard_normal((2 * k, system.n))
+    ws = StepWorkspace.build(system, prm, tau)
+    out = step(StateVector(k=k, tau=tau, data=W), system, prm, 0.3, tau, ws)
+    ref = _dense_step(W, system, prm, 0.3, tau)
+    assert np.max(np.abs(out.data - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_step_on_a_mesh_too_large_for_dense_storage():
+    # n = 65535: dense M and K would take 69 GB; the band takes 1 MiB each
+    system = heat_fem_1d(2 ** 16, kappa=1.0)
+    assert system.M.ab.shape == (2, 2 ** 16 - 1)
+    prm = params_from_rho([0.5, 0.5, 0.5])
+    x = np.arange(1, 2 ** 16) / 2.0 ** 16
+    t0 = time.perf_counter()
+    traj = integrate(system, np.sin(np.pi * x), prm, 1e-3, 1)
+    elapsed = time.perf_counter() - t0
+    assert np.all(np.isfinite(traj[-1].data))
+    assert elapsed < 1.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_stage_matrix_rejected():
+    # tau * lambda overflows to inf: a numerical failure, not a LAPACK traceback
+    with pytest.raises(LinearSolveError, match="non-finite"):
+        StepWorkspace.build(scalar_mode(1e10), params_from_rho([0.5]), 1e300)

@@ -7,6 +7,7 @@ from scipy.linalg import eigh
 from galpha import (
     ConfigurationError,
     SemiDiscreteSystem,
+    SymmetricBanded,
     heat_fem_1d,
     integrate,
     l2_error,
@@ -46,7 +47,6 @@ def test_scalar_mode_matrices():
     assert system.n == 1
     np.testing.assert_array_equal(system.M, [[1.0]])
     np.testing.assert_array_equal(system.K, [[2.0]])
-    assert system.lambda_theta == 2.0
     for m in range(4):
         np.testing.assert_array_equal(system.forcing_derivative(m, 0.7), [0.0])
 
@@ -69,22 +69,22 @@ def test_fem_interior_stencils():
     h = 1.0 / ne
     system = heat_fem_1d(ne, kappa=kappa)
     assert system.n == 7
-    assert system.tridiagonal
+    M, K = system.M.toarray(), system.K.toarray()
     row = 3
     np.testing.assert_allclose(
-        system.M[row, row - 1:row + 2], [h / 6.0, 4.0 * h / 6.0, h / 6.0], rtol=1e-15
+        M[row, row - 1:row + 2], [h / 6.0, 4.0 * h / 6.0, h / 6.0], rtol=1e-15
     )
     np.testing.assert_allclose(
-        system.K[row, row - 1:row + 2],
+        K[row, row - 1:row + 2],
         [-kappa / h, 2.0 * kappa / h, -kappa / h], rtol=1e-15
     )
-    np.testing.assert_array_equal(system.M, system.M.T)
-    np.testing.assert_array_equal(system.K, system.K.T)
+    np.testing.assert_array_equal(M, M.T)
+    np.testing.assert_array_equal(K, K.T)
 
 
 def test_fem_stiffness_interior_row_sums_vanish():
     system = heat_fem_1d(16, kappa=3.0)
-    sums = system.K.sum(axis=1)
+    sums = system.K.toarray().sum(axis=1)
     np.testing.assert_allclose(sums[1:-1], 0.0, atol=1e-12 * 3.0 * 16)
 
 
@@ -190,7 +190,7 @@ def test_l2_error_constant_offset():
     delta = 1e-3
     U = case.u(x, 0.2) + delta
     system = case.assemble(ne)
-    expected = delta * np.sqrt(system.M.sum())
+    expected = delta * np.sqrt(system.M.toarray().sum())
     assert abs(l2_error(U, case, 0.2) - expected) <= 1e-15
 
 
@@ -231,3 +231,65 @@ def test_heat_temporal_convergence_on_fine_mesh():
         errs.append(l2_error(traj[-1].u, case, 1.0))
     assert 8.0 <= errs[0] / errs[1] <= 13.0
     assert 7.0 <= errs[1] / errs[2] <= 10.0
+
+
+@pytest.mark.parametrize("A, u", [
+    (np.diag([2.0, 3.0, 4.0, 5.0]) + np.diag([-1.0, 0.5, -0.25], 1)
+     + np.diag([-1.0, 0.5, -0.25], -1), 1),
+    (np.diag(np.full(6, 6.0)) + np.diag(np.full(5, -4.0), 1) + np.diag(np.full(5, -4.0), -1)
+     + np.diag(np.full(4, 1.0), 2) + np.diag(np.full(4, 1.0), -2), 2),
+    (np.array([[2.5]]), 0),
+])
+def test_symmetric_banded_round_trip(A, u):
+    B = SymmetricBanded.from_dense(A)
+    assert B.u == u
+    assert B.shape == A.shape
+    np.testing.assert_array_equal(B.toarray(), A)
+    v = np.linspace(-1.0, 2.0, A.shape[0])
+    np.testing.assert_allclose(B @ v, A @ v, rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(v @ B, v @ A, rtol=1e-15, atol=1e-15)
+
+
+def test_dense_input_converted_once():
+    M = np.diag([2.0, 3.0, 4.0])
+    K = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    system = SemiDiscreteSystem(n=3, M=M, K=K, forcing=lambda m, t: np.zeros(3))
+    assert isinstance(system.M, SymmetricBanded) and system.M.u == 0
+    assert isinstance(system.K, SymmetricBanded) and system.K.u == 1
+    np.testing.assert_array_equal(system.K.toarray(), K)
+
+
+def test_load_vector_assembled_once():
+    case = manufactured_heat("sin-decay")
+    system = case.assemble(8)
+    b = system.forcing_derivative(0, 0.0)
+    for m, t in ((0, 0.4), (1, 0.4), (3, 1.5)):
+        np.testing.assert_allclose(system.forcing_derivative(m, t),
+                                   (-1.0) ** m * np.exp(-t) * b, rtol=1e-15)
+
+
+def _element_loop(elements, kappa):
+    # the element loop the closed-form bands replace, same float operations
+    ne = elements
+    h = 1.0 / ne
+    n = ne - 1
+    Me = h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+    Ke = kappa / h * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    M = np.zeros((n, n))
+    K = np.zeros((n, n))
+    for e in range(ne):
+        for a in range(2):
+            for b in range(2):
+                ia, ib = e + a - 1, e + b - 1
+                if 0 <= ia < n and 0 <= ib < n:
+                    M[ia, ib] += Me[a, b]
+                    K[ia, ib] += Ke[a, b]
+    return M, K
+
+
+def test_fem_bands_equal_element_loop_bitwise():
+    for ne, kappa in ((2, 1.0), (9, 0.7), (100, 3.3), (1024, 1.0)):
+        system = heat_fem_1d(ne, kappa=kappa)
+        M, K = _element_loop(ne, kappa)
+        np.testing.assert_array_equal(system.M.toarray(), M)
+        np.testing.assert_array_equal(system.K.toarray(), K)
