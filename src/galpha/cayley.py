@@ -127,20 +127,6 @@ def _det_exact(rows):
     return det
 
 
-def _det_cofactor(rows):
-    """Recursive cofactor expansion along the first column (small l only)."""
-    l = len(rows)
-    if l == 1:
-        return rows[0][0]
-    acc = 0.0 + 0.0j
-    for r in range(l):
-        if rows[r][0] == 0:
-            continue
-        minor = [row[1:] for rr, row in enumerate(rows) if rr != r]
-        acc += (-1.0) ** r * rows[r][0] * _det_cofactor(minor)
-    return acc
-
-
 # Expanded forms of B_2..B_6, kept as an independent cross-check on the
 # determinant evaluation. Exact for int/Fraction inputs.
 BELL_CLOSED_FORMS = {
@@ -164,7 +150,7 @@ def bell_complete(l, x):
     """Complete exponential Bell polynomial B_l via the determinant form.
 
     B_0 = 1 (empty product). Integer or Fraction inputs are evaluated exactly;
-    floating inputs use cofactor expansion up to l = 6 and pivoted LU beyond.
+    floating inputs use a pivoted LU determinant.
     """
     if l == 0:
         return Fraction(1)
@@ -176,8 +162,6 @@ def bell_complete(l, x):
     rows = _bell_matrix(l, x)
     if all(isinstance(v, (int, Fraction)) for v in x):
         return _det_exact(rows)
-    if l <= 6:
-        return _det_cofactor([[complex(v) for v in row] for row in rows])
     return complex(np.linalg.det(np.array(rows, dtype=complex)))
 
 

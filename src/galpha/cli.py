@@ -24,7 +24,7 @@ from .exceptions import ConfigurationError, GalphaError, LinearSolveError, PoleE
 from .integrator import integrate
 from .params import RhoSpectrum, params_from_rho
 from .problems import l2_error, manufactured_heat, scalar_mode
-from .spectral import stability_region, sweep_spectral_radius
+from .spectral import check_range, stability_region, sweep_spectral_radius
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -228,16 +228,11 @@ def _steps_for(T, tau):
 def cmd_spectrum(args):
     cfg = _load_config(args, ("k", "rho", "theta_min", "theta_max", "theta_points"))
     prm = _cfg_params(cfg)
-    tmin = float(cfg.get("theta_min", 1e-4))
-    tmax = float(cfg.get("theta_max", 1e8))
+    tmin, tmax = check_range("theta", cfg.get("theta_min", 1e-4),
+                             cfg.get("theta_max", 1e8), positive=True)
     npts = int(cfg.get("theta_points", 200))
     if npts < 1:
         raise ConfigurationError("theta_points must be >= 1, got %d" % npts)
-    if tmin <= 0 or tmax < tmin:
-        raise ConfigurationError(
-            "theta range must satisfy 0 < theta_min <= theta_max, got [%g, %g]"
-            % (tmin, tmax)
-        )
     if npts == 1 and tmin != tmax:
         raise ConfigurationError("a single-point grid needs theta_min == theta_max")
     grid = np.logspace(log10(tmin), log10(tmax), npts)
@@ -270,7 +265,7 @@ def cmd_stability_map(args):
             rows.append([re, im, region.rho[i, j]])
     footers = [
         ("max_rho_re_ge_0", region.max_rho_right_half),
-        ("a_stable", region.a_stable),
+        ("a_stable", "undetermined" if region.a_stable is None else region.a_stable),
         ("poles", int(np.count_nonzero(region.pole_mask))),
     ]
     _emit(args.out, ["re", "im", "rho_G"], rows, footers)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import factorial, inf
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .exceptions import ConfigurationError, LinearSolveError
 from .params import validate_stability
@@ -54,11 +53,19 @@ class StateVector:
 
 
 class _Factorization:
-    """Banded Cholesky factor of one SPD matrix in SymmetricBanded storage."""
+    """Banded Cholesky factor of one SPD matrix in SymmetricBanded storage.
+
+    scipy.linalg is imported on the first factorization, not with the
+    package: it is most of the import time, and the analysis commands never
+    factor a matrix.
+    """
 
     def __init__(self, A):
+        from scipy.linalg.lapack import dpbtrf, dpbtrs
+
         if not np.all(np.isfinite(A.ab)):
             raise LinearSolveError("stage matrix has non-finite entries")
+        self._dpbtrs = dpbtrs
         self.fac, info = dpbtrf(A.ab, lower=0)
         if info != 0:
             raise LinearSolveError(
@@ -67,7 +74,7 @@ class _Factorization:
             )
 
     def solve(self, rhs):
-        return dpbtrs(self.fac, rhs, lower=0)[0]
+        return self._dpbtrs(self.fac, rhs, lower=0)[0]
 
 
 def _check_tau(tau):

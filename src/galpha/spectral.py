@@ -3,14 +3,16 @@
 For the 1-dof problem u' = -lambda u the method advances a stack of 2k scaled
 derivatives by a 2k x 2k matrix G(theta), theta = tau * lambda. G is block
 upper triangular with k diagonal 2x2 blocks, one per stage, so eigenvalues come
-from closed-form quadratics; the dense matrix is assembled independently from
-the stage equations and cross-checked against the closed-form blocks.
+from closed-form quadratics. spectral_radius, sweeps and stability maps take
+those roots from one array kernel over theta of any shape; the 2x2 blocks and
+the dense matrix, assembled independently from the stage equations, are built
+only by amplification_matrix, which cross-checks one against the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 
@@ -29,6 +31,8 @@ __all__ = [
 ]
 
 A_STABILITY_SLACK = 1e-9
+# theta nodes per pass of the root kernel; bounds its temporaries to a few MiB
+KERNEL_CHUNK = 1 << 14
 
 
 def _stage_blocks(params, theta):
@@ -165,13 +169,89 @@ def block_eigenvalues(block):
     return complex(r1), complex(r2)
 
 
+def _stage_root_magnitudes(params, theta):
+    """Root magnitudes of every stage block of G, for theta of any shape S.
+
+    Returns mags of shape S + (2k,), stage pairs in order with each pair in
+    descending order, and a pole mask of shape S + (k,) set where a stage
+    denominator vanishes; mags carries no meaning at a pole. With c_j = 1 for
+    j < k, c_k = alpha_f and b_j = c_j gamma_j, stage j has den = alpha_j +
+    b_j theta and, as in recurrence_residual,
+
+        den tr  = n0 + n1 theta,  n0 = 2 alpha_j - 1,
+                                  n1 = -(gamma_j (1 - c_j) + c_j (1 - gamma_j)),
+        den det = d0 + d1 theta,  d0 = alpha_j - 1,  d1 = (1 - gamma_j)(1 - c_j),
+
+    so den^2 (tr^2 - 4 det) = P = 1 + 2 (gamma_j + c_j - 2 alpha_j) theta
+    + (gamma_j - c_j)^2 theta^2, in factored coefficients that carry no
+    cancellation. The roots are big / (2 den) and 2 den det / big, where
+    big = den tr +- sqrt(P) takes the sign of larger modulus, so neither root
+    is formed by cancellation either. The rho parameterization has
+    gamma_k = alpha_f, so for the last stage P is linear in theta and the
+    pair that meets at -rho_k as theta grows (a double root at -1 for
+    rho_k = 1) keeps full accuracy.
+    """
+    th = np.asarray(theta, dtype=complex)
+    k = params.k
+    rows = []
+    for j in range(k):
+        a, g = params.alpha[j], params.gamma[j]
+        c = 1.0 if j < k - 1 else params.alpha_f
+        rows.append((a, c * g, 2.0 * a - 1.0, -(g * (1.0 - c) + c * (1.0 - g)),
+                     a - 1.0, (1.0 - g) * (1.0 - c), 2.0 * (g + c - 2.0 * a), (g - c) ** 2))
+    # each coefficient as a (k, 1) column against a (1, n) row of nodes
+    a, b, n0, n1, d0, d1, p1, p2 = np.array(rows).T[:, :, None]
+    nodes = th.reshape(1, -1)
+    n = nodes.shape[1]
+    mags = np.empty((n, k, 2))
+    poles = np.empty((n, k), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in range(0, n, KERNEL_CHUNK):
+            part = slice(lo, lo + KERNEL_CHUNK)
+            t = nodes[:, part]
+            poles[part] = (a + b * t == 0).T
+            # the polynomials are homogeneous in (x, y) = (1, theta) / max(1, |theta|):
+            # the roots do not change, and p2 theta^2 cannot overflow
+            x = 1.0 / np.maximum(1.0, np.abs(t))
+            y = t * x
+            num = n0 * x + n1 * y
+            s = np.sqrt((x + p1 * y) * x + p2 * y * y)
+            big = num + np.where(num.real * s.real + num.imag * s.imag < 0, -s, s)
+            m1 = np.abs(big) / (2.0 * np.abs(a * x + b * y))
+            m2 = np.where(big == 0, 0.0, 2.0 * np.abs(d0 * x + d1 * y) / np.abs(big))
+            mags[part, :, 0] = np.maximum(m1, m2).T
+            mags[part, :, 1] = np.minimum(m1, m2).T
+    return mags.reshape(th.shape + (2 * k,)), poles.reshape(th.shape + (k,))
+
+
+def _raise_first_pole(poles, theta):
+    """PoleError naming the first stage and node in a kernel pole mask."""
+    if poles.any():
+        *node, stage = np.argwhere(poles)[0]
+        raise PoleError(int(stage) + 1, np.asarray(theta)[tuple(node)].item())
+
+
+def check_range(name, lo, hi, positive=False):
+    """(lo, hi) as floats, checked finite, ordered and, if asked, positive.
+
+    The one boundary check of the analysis inputs: theta grids, map axes and
+    the CLI ranges all pass through it, so NaN and inf never reach the kernel.
+    """
+    lo, hi = float(lo), float(hi)
+    if not (isfinite(lo) and isfinite(hi)):
+        raise ConfigurationError("%s range must be finite, got [%g, %g]" % (name, lo, hi))
+    if positive and lo <= 0.0:
+        raise ConfigurationError("%s range must be positive, got [%g, %g]" % (name, lo, hi))
+    if lo > hi:
+        raise ConfigurationError("%s range is reversed: [%g, %g]" % (name, lo, hi))
+    return lo, hi
+
+
 def spectral_radius(params, theta):
-    """max |eigenvalue| of G(theta), from the closed-form blocks."""
-    radius = 0.0
-    for B in _stage_blocks(params, theta):
-        r1, _ = block_eigenvalues(B)
-        radius = max(radius, abs(r1))
-    return radius
+    """max |eigenvalue| of G(theta), from the closed-form stage roots."""
+    mags, poles = _stage_root_magnitudes(params, theta)
+    _raise_first_pole(poles, theta)
+    return float(mags.max())
 
 
 def asymptotic_eigenvalues(params):
@@ -207,22 +287,13 @@ class SweepResult:
 
 def sweep_spectral_radius(params, theta_grid):
     """Evaluate the spectral radius along a positive theta grid."""
-    grid = np.asarray(theta_grid, dtype=float)
+    grid = np.asarray(theta_grid, dtype=float).reshape(-1)
     if grid.size == 0:
         raise ConfigurationError("theta grid is empty")
-    if np.any(grid <= 0):
-        raise ConfigurationError("theta grid must be positive")
-    n = grid.size
-    mags = np.empty((n, 2 * params.k))
-    rho = np.empty(n)
-    for i, th in enumerate(grid):
-        row = []
-        for B in _stage_blocks(params, th):
-            r1, r2 = block_eigenvalues(B)
-            row.extend([abs(r1), abs(r2)])
-        mags[i, :] = row
-        rho[i] = max(row)
-    return SweepResult(theta=grid.copy(), rho=rho, magnitudes=mags)
+    check_range("theta", grid.min(), grid.max(), positive=True)
+    mags, poles = _stage_root_magnitudes(params, grid)
+    _raise_first_pole(poles, grid)
+    return SweepResult(theta=grid.copy(), rho=mags.max(axis=1), magnitudes=mags)
 
 
 @dataclass(frozen=True)
@@ -230,7 +301,8 @@ class StabilityMap:
     """Spectral radius sampled on a rectangle of complex theta.
 
     rho has shape (n_re, n_im); pole nodes carry NaN and are flagged in
-    pole_mask. max_rho_right_half and a_stable summarize the Re >= 0 nodes.
+    pole_mask. max_rho_right_half and a_stable summarize the Re >= 0 nodes;
+    with none sampled they are NaN and None (undetermined).
     """
 
     re: np.ndarray
@@ -238,7 +310,7 @@ class StabilityMap:
     rho: np.ndarray
     pole_mask: np.ndarray
     max_rho_right_half: float
-    a_stable: bool
+    a_stable: bool | None
 
 
 def stability_region(params, re_range, im_range, resolution):
@@ -246,41 +318,40 @@ def stability_region(params, re_range, im_range, resolution):
 
     resolution is the point count per axis (one count for both, or a pair
     (n_re, n_im)); a single-point axis requires a degenerate range. Pole nodes
-    (only possible for Re theta < 0) are flagged, not fatal.
+    (only possible for Re theta < 0) are flagged, not fatal. a_stable is None
+    when no Re theta >= 0 node off a pole is sampled.
     """
+    pair = resolution if np.ndim(resolution) else (resolution, resolution)
     try:
-        n_re, n_im = (int(resolution[0]), int(resolution[1]))
-    except TypeError:
-        n_re = n_im = int(resolution)
-    re_lo, re_hi = float(re_range[0]), float(re_range[1])
-    im_lo, im_hi = float(im_range[0]), float(im_range[1])
+        n_re, n_im = int(pair[0]), int(pair[1])
+    except (ValueError, OverflowError) as exc:
+        raise ConfigurationError(
+            "resolution must be a finite count, got %r" % (resolution,)
+        ) from exc
+    re_lo, re_hi = check_range("re", *re_range)
+    im_lo, im_hi = check_range("im", *im_range)
     for name, n, lo, hi in (("re", n_re, re_lo, re_hi), ("im", n_im, im_lo, im_hi)):
         if n < 1:
             raise ConfigurationError("%s resolution must be >= 1, got %d" % (name, n))
-        if lo > hi:
-            raise ConfigurationError("%s range is reversed: [%g, %g]" % (name, lo, hi))
         if n == 1 and lo != hi:
             raise ConfigurationError(
                 "single-point %s axis needs a degenerate range, got [%g, %g]" % (name, lo, hi)
             )
     res = np.linspace(re_lo, re_hi, n_re)
     ims = np.linspace(im_lo, im_hi, n_im)
-    rho = np.empty((n_re, n_im))
-    poles = np.zeros((n_re, n_im), dtype=bool)
-    for i, x in enumerate(res):
-        for j, y in enumerate(ims):
-            try:
-                rho[i, j] = spectral_radius(params, complex(x, y))
-            except PoleError:
-                rho[i, j] = np.nan
-                poles[i, j] = True
+    theta = np.empty((n_re, n_im), dtype=complex)
+    theta.real = res[:, None]
+    theta.imag = ims[None, :]
+    mags, stage_poles = _stage_root_magnitudes(params, theta)
+    poles = stage_poles.any(axis=-1)
+    rho = np.where(poles, np.nan, mags.max(axis=-1))
     right = (res >= 0.0)[:, None] & ~poles
     if np.any(right):
         max_right = float(np.max(rho[right]))
         a_stable = bool(max_right <= 1.0 + A_STABILITY_SLACK)
     else:
         max_right = float("nan")
-        a_stable = True
+        a_stable = None
     return StabilityMap(
         re=res, im=ims, rho=rho, pole_mask=poles,
         max_rho_right_half=max_right, a_stable=a_stable,

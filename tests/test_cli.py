@@ -386,3 +386,67 @@ def test_negative_exponent_flag_value(tmp_path, im_min):
         "--resolution", 5, "--out", out]) == 0
     _, rows, _ = read_table(out)
     assert float(rows[0][1]) == float(im_min)
+
+
+def test_spectrum_rejects_infinite_theta_max(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    assert run_cli(tmp_path, "spectrum", extra=[
+        "--k", 1, "--rho", 0.5, "--theta-max", "inf", "--theta-points", 3, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "theta range must be finite" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_stability_map_rejects_nan_range(tmp_path, capsys):
+    out = tmp_path / "map.csv"
+    assert run_cli(tmp_path, "stability-map", extra=[
+        "--k", 1, "--rho", 0.5, "--re-max", "nan", "--resolution", 3, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "re range must be finite" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_stability_map_without_right_half_plane_nodes_is_undetermined(tmp_path):
+    out = tmp_path / "map.csv"
+    assert run_cli(tmp_path, "stability-map", extra=[
+        "--k", 1, "--rho", 0.5, "--re-min", -1, "--re-max", -0.5, "--resolution", 3,
+        "--out", out]) == 0
+    _, _, footers = read_table(out)
+    assert footers["a_stable"] == "undetermined"
+    assert footers["max_rho_re_ge_0"] == "nan"
+
+
+def test_stability_map_certifies_rho_one_far_out(tmp_path):
+    out = tmp_path / "map.csv"
+    assert run_cli(tmp_path, "stability-map", extra=[
+        "--k", 2, "--rho", 1, "--re-max", "1e10", "--im-min", -1, "--im-max", 1,
+        "--resolution", 41, "--out", out]) == 0
+    _, _, footers = read_table(out)
+    assert footers["a_stable"] == "true"
+    assert float(footers["max_rho_re_ge_0"]) <= 1.0 + 1e-9
+
+
+def _modules_after(code):
+    """Modules loaded by a fresh interpreter that imports this galpha and runs code."""
+    env = dict(os.environ)
+    src = str(Path(galpha.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, galpha.cli\n%s\nprint(' '.join(sys.modules))" % code],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_analysis_commands_do_not_import_scipy_linalg(tmp_path):
+    # scipy.linalg is most of the import time; only a factorization loads it
+    assert "scipy.linalg" not in _modules_after("")
+    out = tmp_path / "curve.csv"
+    spectrum = "galpha.cli.main(%r)" % (SPECTRUM_ARGS + ["--out", str(out)],)
+    assert "scipy.linalg" not in _modules_after(spectrum)
+    solve = "galpha.cli.main(%r)" % (
+        ["solve", "--k", "1", "--rho", "1", "--tau", "0.1", "--steps", "2", "--out", str(out)],)
+    assert "scipy.linalg" in _modules_after(solve)

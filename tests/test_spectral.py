@@ -1,7 +1,11 @@
 """Amplification blocks, dense assembly, spectra, sweeps, stability maps."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galpha import (
     ConfigurationError,
@@ -14,6 +18,7 @@ from galpha import (
     stability_region,
     sweep_spectral_radius,
 )
+from galpha.spectral import _stage_root_magnitudes
 
 # magnitude of the conjugate pair of the last stage at theta = 1e8 for
 # rho_k = 0: the decay there is algebraic, (2 theta)^(-1/2) to leading order
@@ -192,9 +197,9 @@ def test_stability_region_exceeds_one_left_of_axis():
     prm = params_from_rho([0.0, 0.0])
     region = stability_region(prm, (-0.5, -0.5), (-10.0, 10.0), (1, 21))
     assert np.nanmax(region.rho) > 1.0
-    # no Re >= 0 nodes sampled: the right-half summary stays vacuous
+    # no Re >= 0 nodes sampled: A-stability is undetermined, not certified
     assert np.isnan(region.max_rho_right_half)
-    assert region.a_stable
+    assert region.a_stable is None
 
 
 def test_stability_region_flags_poles():
@@ -221,6 +226,9 @@ def test_stability_region_validation():
         stability_region(prm, (1.0, 0.0), (0.0, 1.0), 3)
     with pytest.raises(ConfigurationError, match="degenerate"):
         stability_region(prm, (0.0, 1.0), (0.0, 1.0), (1, 3))
+    for bad in (np.inf, np.nan, (3, np.inf)):
+        with pytest.raises(ConfigurationError, match="finite count"):
+            stability_region(prm, (0.0, 1.0), (0.0, 1.0), bad)
 
 
 def test_coupling_accessor():
@@ -241,3 +249,153 @@ def test_amplification_matrix_metadata():
     assert amp.theta == 2.0
     assert amp.dense.shape == (4, 4)
     assert len(amp.blocks) == 2
+
+
+# ---------------------------------------------------------------------------
+# the closed-form stage-root kernel behind spectral_radius, sweeps and maps
+
+# kernel against block_eigenvalues on the 2x2 blocks: both take sqrt(eps)
+# near a double root, and the block path's roundoff there is the larger
+# (worst measured 1.0e-8 of the radius, at rho = 1 and theta = 5.7e9)
+BLOCK_ROOT_TOL = 1e-7
+RHO_ONE_GRID = np.logspace(-4, 10, 401)
+
+
+@st.composite
+def methods_and_thetas(draw, n_theta=8):
+    """k in 1..6, rho in [0, 1]^k, theta in the closed right half-plane."""
+    k = draw(st.integers(1, 6))
+    control = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    prm = params_from_rho(draw(st.lists(control, min_size=k, max_size=k)))
+    exponent = st.floats(-6.0, 10.0)
+    phase = st.one_of(st.sampled_from([-np.pi / 2, 0.0, np.pi / 2]),
+                      st.floats(-np.pi / 2, np.pi / 2))
+    thetas = []
+    for _ in range(n_theta):
+        r, ph = 10.0 ** draw(exponent), draw(phase)
+        re = 0.0 if abs(ph) == np.pi / 2 else r * np.cos(ph)
+        thetas.append(complex(re, r * np.sin(ph)))
+    return prm, np.array(thetas)
+
+
+def _mp_stage_magnitudes(prm, theta):
+    """Root magnitudes of the closed-form stage blocks, eigen-solved at 50 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        th = mp.mpc(theta)
+        out = []
+        for j in range(prm.k):
+            a, g = mp.mpf(prm.alpha[j]), mp.mpf(prm.gamma[j])
+            c = mp.mpf(1) if j < prm.k - 1 else mp.mpf(prm.alpha_f)
+            den = a + c * g * th
+            b11 = a + (c - 1) * g * th
+            b22 = a + c * (g - 1) * th - 1
+            tr = (b11 + b22) / den
+            det = (b11 * b22 + (a - g) * th) / den ** 2
+            s = mp.sqrt(tr * tr - 4 * det)
+            out.extend(sorted((float(abs((tr + s) / 2)), float(abs((tr - s) / 2))),
+                              reverse=True))
+    return np.array(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(methods_and_thetas())
+def test_kernel_bounded_and_equal_to_block_roots(case):
+    prm, thetas = case
+    mags, poles = _stage_root_magnitudes(prm, thetas)
+    assert mags.shape == (thetas.size, 2 * prm.k)
+    assert not poles.any()
+    assert np.all(mags[:, 0::2] >= mags[:, 1::2])
+    radius = mags.max(axis=1)
+    assert np.all(radius <= 1.0 + 1e-9)
+    for theta, row, r in zip(thetas, mags, radius):
+        blocks = amplification_matrix(prm, theta).blocks
+        roots = [abs(z) for B in blocks for z in block_eigenvalues(B)]
+        assert np.max(np.abs(row - roots)) <= BLOCK_ROOT_TOL * r
+        assert spectral_radius(prm, theta) == pytest.approx(r, rel=1e-15, abs=0.0)
+
+
+def test_kernel_matches_mpmath():
+    # worst measured over 4000 such draws: 5.0e-16 relative on the radius and
+    # 6.2e-16 of the radius on any root
+    rng = np.random.default_rng(20211)
+    for _ in range(150):
+        k = int(rng.integers(1, 7))
+        rho = rng.uniform(0.0, 1.0, k)
+        rho[rng.random(k) < 0.2] = 1.0
+        prm = params_from_rho(rho.tolist())
+        theta = 10.0 ** rng.uniform(-6, 10) * np.exp(1j * rng.uniform(-np.pi / 2, np.pi / 2))
+        mags, _ = _stage_root_magnitudes(prm, theta)
+        exact = _mp_stage_magnitudes(prm, theta)
+        assert abs(mags.max() - exact.max()) <= 1e-12 * exact.max()
+        assert np.max(np.abs(mags - exact)) <= 1e-12 * exact.max()
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_sweep_at_rho_one_stays_on_the_unit_circle(k):
+    # the last stage's pair meets at -1 as theta grows; entrywise blocks lost
+    # sqrt(eps) there and read 1.00000001 from theta ~ 3e7
+    sweep = sweep_spectral_radius(params_from_rho([1.0] * k), RHO_ONE_GRID)
+    assert np.all(sweep.rho <= 1.0 + 1e-9)
+    assert np.all(np.abs(sweep.rho - 1.0) <= 1e-12)
+    assert np.array_equal(sweep.rho, sweep.magnitudes.max(axis=1))
+
+
+def test_kernel_matches_mpmath_at_rho_one_far_out():
+    prm = params_from_rho([1.0, 1.0])
+    for theta in (6.68e9, 1e10, 1e10j, 3e9 + 4e9j):
+        mags, _ = _stage_root_magnitudes(prm, theta)
+        np.testing.assert_allclose(mags, _mp_stage_magnitudes(prm, theta), rtol=1e-12, atol=0)
+
+
+def test_kernel_keeps_any_shape_and_flags_poles():
+    prm = params_from_rho([1.0, 0.5])
+    theta = np.array([[1.0, -2.0, 3j], [0.0, 1e300, -1e300]])
+    mags, poles = _stage_root_magnitudes(prm, theta)
+    assert mags.shape == (2, 3, 4)
+    assert poles.shape == (2, 3, 2)
+    # the trapezoidal first stage is singular at theta = -2, and only there
+    assert np.argwhere(poles).tolist() == [[0, 1, 0]]
+    # no overflow far out: the radius stays finite at |theta| = 1e300
+    assert np.all(np.isfinite(mags[1]))
+    assert spectral_radius(prm, 1e300) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_large_sweep_and_map_run_at_array_speed():
+    prm = params_from_rho([0.5, 0.5, 0.5])
+    t0 = time.perf_counter()
+    sweep = sweep_spectral_radius(prm, np.logspace(-4, 10, 20000))
+    sweep_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    region = stability_region(prm, (0.0, 1e3), (-1e3, 1e3), 1001)
+    map_s = time.perf_counter() - t0
+    assert np.all(sweep.rho <= 1.0 + 1e-9)
+    assert region.a_stable is True
+    # about 0.01 s and 0.5 s on a 2-core VM; a per-theta Python loop took
+    # 0.55 s and about 27 s
+    assert sweep_s < 0.5
+    assert map_s < 10.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sweep_rejects_non_finite_theta(bad):
+    with pytest.raises(ConfigurationError, match="finite"):
+        sweep_spectral_radius(params_from_rho([0.5]), [1.0, bad, 2.0])
+
+
+@pytest.mark.parametrize("re_range, im_range", [
+    ((0.0, np.nan), (-1.0, 1.0)),
+    ((0.0, np.inf), (-1.0, 1.0)),
+    ((0.0, 1.0), (-np.inf, 1.0)),
+    ((np.nan, np.nan), (0.0, 0.0)),
+])
+def test_stability_region_rejects_non_finite_ranges(re_range, im_range):
+    with pytest.raises(ConfigurationError, match="finite"):
+        stability_region(params_from_rho([0.5]), re_range, im_range, 3)
+
+
+def test_stability_region_certifies_rho_one_far_out():
+    # the map that printed a_stable = false for an A-stable method
+    region = stability_region(params_from_rho([1.0, 1.0]), (0.0, 1e10), (-1.0, 1.0), 41)
+    assert region.a_stable is True
+    assert region.max_rho_right_half <= 1.0 + 1e-9
