@@ -15,7 +15,7 @@ import argparse
 import json
 import re
 import sys
-from math import log10
+from math import inf, isfinite, ldexp, log10
 
 import numpy as np
 
@@ -34,6 +34,8 @@ EXIT_CONFIG = 2
 # and the product-form residual keeps full relative accuracy on it
 ORDER_CHECK_TAUS = np.logspace(-2.0, -3.0, 6)
 DEGRADATION_FLAG = 0.8
+# rows per formatting chunk of a float table: bounds the text held at once
+FLOAT_CHUNK_ROWS = 1 << 14
 # argparse takes only '-1' and '-1.5' style tokens as negative numbers; this
 # also admits exponent forms such as '-1e3' as flag values
 NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
@@ -50,18 +52,30 @@ def _fmt(v):
     return str(v)
 
 
+def _float_lines(table):
+    """CSV lines of a 2-D float array, each cell %.17g as _fmt writes it,
+    formatted a chunk of rows at a time."""
+    fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for start in range(0, table.shape[0], FLOAT_CHUNK_ROWS):
+        yield "".join(fmt % tuple(row)
+                      for row in table[start:start + FLOAT_CHUNK_ROWS].tolist())
+
+
 def _emit(out_path, header, rows, footers=()):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    for key, val in footers:
-        lines.append("# %s = %s" % (key, _fmt(val)))
-    text = "\n".join(lines) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
+    """Write the CSV. rows is a list of cell lists, or a 2-D float array."""
+    if isinstance(rows, np.ndarray):
+        body = _float_lines(rows)
     else:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+        body = ["".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)]
+    fh = sys.stdout if out_path is None else open(out_path, "w", newline="")
+    try:
+        fh.write(",".join(header) + "\n")
+        for chunk in body:
+            fh.write(chunk)
+        fh.write("".join("# %s = %s\n" % (key, _fmt(val)) for key, val in footers))
+    finally:
+        if out_path is not None:
+            fh.close()
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +252,7 @@ def cmd_spectrum(args):
     grid = np.logspace(log10(tmin), log10(tmax), npts)
     sweep = sweep_spectral_radius(prm, grid)
     header = ["theta", "rho_G"] + ["lambda_abs_%d" % (i + 1) for i in range(2 * prm.k)]
-    rows = []
-    for i in range(grid.size):
-        rows.append([sweep.theta[i], sweep.rho[i]] + list(sweep.magnitudes[i]))
+    rows = np.column_stack([sweep.theta, sweep.rho, sweep.magnitudes])
     footers = [
         ("rho_G_at_theta_min", sweep.rho[0]),
         ("rho_G_at_theta_max", sweep.rho[-1]),
@@ -259,10 +271,9 @@ def cmd_stability_map(args):
     re_rng = (float(cfg.get("re_min", 0.0)), float(cfg.get("re_max", 100.0)))
     im_rng = (float(cfg.get("im_min", -100.0)), float(cfg.get("im_max", 100.0)))
     region = stability_region(prm, re_rng, im_rng, cfg.get("resolution", 21))
-    rows = []
-    for i, re in enumerate(region.re):
-        for j, im in enumerate(region.im):
-            rows.append([re, im, region.rho[i, j]])
+    n_re, n_im = region.rho.shape
+    rows = np.column_stack([np.repeat(region.re, n_im), np.tile(region.im, n_re),
+                            region.rho.ravel()])
     footers = [
         ("max_rho_re_ge_0", region.max_rho_right_half),
         ("a_stable", "undetermined" if region.a_stable is None else region.a_stable),
@@ -283,7 +294,12 @@ def _converge_errors(cfg):
         raise ConfigurationError("converge needs at least 4 tau halvings, got %d" % halvings)
     tau_max = float(cfg.get("tau_max", 0.5))
     prm = _cfg_params(cfg)
-    taus = [tau_max / 2 ** i for i in range(halvings + 1)]
+    if not 0.0 < tau_max < inf:
+        raise ConfigurationError("tau_max must be positive and finite, got %g" % tau_max)
+    if ldexp(tau_max, -halvings) == 0.0:
+        raise ConfigurationError(
+            "tau_max = %g halved %d times underflows to zero" % (tau_max, halvings))
+    taus = [ldexp(tau_max, -i) for i in range(halvings + 1)]
     errs = []
     if problem == "scalar":
         lam = float(cfg.get("lambda_theta", 1.0))
@@ -336,6 +352,8 @@ def cmd_order_check(args):
     if not isinstance(rho, (int, float)):
         raise ConfigurationError("order-check uses a single scalar rho for all stages")
     eps = float(cfg.get("perturb_gamma", 0.0))
+    if not isfinite(eps):
+        raise ConfigurationError("perturb_gamma must be finite, got %g" % eps)
     rows = []
     footers = []
     degraded = False
@@ -346,7 +364,7 @@ def cmd_order_check(args):
         res = [recurrence_residual(prm, 1.0, t) for t in taus]
         fit = fit_slope(taus, res, scale=0.0)
         rows.append([k, 0, fit.slope, report.all_ok, report.max_residual])
-        if eps > 0.0:
+        if eps != 0.0:
             gam = list(prm.gamma)
             gam[0] += eps
             pert = prm.with_gamma(gam)
@@ -358,7 +376,7 @@ def cmd_order_check(args):
             footers.append(("slope_drop_k%d" % k, drop))
             if drop >= DEGRADATION_FLAG:
                 degraded = True
-    if eps > 0.0:
+    if eps != 0.0:
         footers.append(("degraded", degraded))
     _emit(args.out, ["k", "perturbed", "fitted_slope", "conditions_ok",
                      "max_condition_residual"], rows, footers)

@@ -10,7 +10,12 @@ block m holding tau^m u^(m), which makes every update dimensionless.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
 from math import factorial, inf
 
 import numpy as np
@@ -52,21 +57,53 @@ class StateVector:
         return self.data[m] / self.tau ** m
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+@lru_cache(maxsize=None)
+def _flapack():
+    """scipy's compiled LAPACK wrapper module, loaded once per process.
+
+    Importing scipy.linalg runs its package init (about 0.3 s and 25 MiB of
+    array-API imports) for the two routines used here, dpbtrf and dpbtrs.
+    A plain import of scipy sets up the wheel's shared-library search path;
+    the extension module scipy/linalg/_flapack is then loaded straight from
+    its file and kept out of sys.modules, so a later import of scipy.linalg
+    runs as usual. Both hand out the same compiled routines.
+    """
+    import scipy
+
+    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError("scipy's LAPACK wrapper _flapack is missing from %s" % folder)
+    registered = _FLAPACK in sys.modules
+    spec = spec_from_file_location(_FLAPACK, path, loader=ExtensionFileLoader(_FLAPACK, path))
+    lib = module_from_spec(spec)
+    if not registered:
+        # a single-phase extension module enters itself in sys.modules
+        sys.modules.pop(_FLAPACK, None)
+    return lib
+
+
 class _Factorization:
     """Banded Cholesky factor of one SPD matrix in SymmetricBanded storage.
 
-    scipy.linalg is imported on the first factorization, not with the
-    package: it is most of the import time, and the analysis commands never
-    factor a matrix.
+    LAPACK dpbtrf/dpbtrs come from _flapack on the first factorization, not
+    with the package, and scipy.linalg is never imported: the analysis
+    commands never factor a matrix, and converge and solve skip the
+    scipy.linalg package init.
     """
 
     def __init__(self, A):
-        from scipy.linalg.lapack import dpbtrf, dpbtrs
-
+        lib = _flapack()
         if not np.all(np.isfinite(A.ab)):
             raise LinearSolveError("stage matrix has non-finite entries")
-        self._dpbtrs = dpbtrs
-        self.fac, info = dpbtrf(A.ab, lower=0)
+        self._dpbtrs = lib.dpbtrs
+        self.fac, info = lib.dpbtrf(A.ab, lower=0)
         if info != 0:
             raise LinearSolveError(
                 "stage matrix factorization failed: leading minor %d is not "
@@ -77,9 +114,17 @@ class _Factorization:
         return self._dpbtrs(self.fac, rhs, lower=0)[0]
 
 
-def _check_tau(tau):
+def _check_tau(tau, k):
+    """tau positive and finite, and so is tau^(2k-1), the highest power of tau
+    that scales the state and the forcing terms of a step."""
     if not 0.0 < tau < inf:
         raise ConfigurationError("tau must be positive and finite, got %r" % (tau,))
+    try:
+        float(tau) ** (2 * k - 1)
+    except OverflowError:
+        raise ConfigurationError(
+            "tau = %r is too large for k = %d: tau^%d overflows" % (tau, k, 2 * k - 1)
+        ) from None
 
 
 @dataclass
@@ -100,8 +145,8 @@ class StepWorkspace:
             raise ConfigurationError(
                 "parameters violate the stability bounds: " + "; ".join(report.violations)
             )
-        _check_tau(tau)
         k = params.k
+        _check_tau(tau, k)
         ws = cls(params=params, tau=float(tau), n=system.n, factors=[],
                  inv_fact=tuple(1.0 / factorial(i) for i in range(2 * k)))
         for j in range(k):
@@ -126,7 +171,7 @@ def init_state(system, U0, k, tau, t0=0.0):
     """
     if k < 1:
         raise ConfigurationError("stage count k must be >= 1, got %r" % (k,))
-    _check_tau(tau)
+    _check_tau(tau, k)
     need = 2 * k - 2
     if system.m_max is not None and system.m_max < need:
         raise ConfigurationError(
@@ -138,6 +183,8 @@ def init_state(system, U0, k, tau, t0=0.0):
         raise ConfigurationError(
             "U0 must have shape (%d,), got %s" % (system.n, U0.shape)
         )
+    if not np.all(np.isfinite(U0)):
+        raise ConfigurationError("U0 must be finite")
     fac = _Factorization(system.M)
     data = np.empty((2 * k, system.n))
     data[0] = U0

@@ -9,7 +9,7 @@ requests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import inf, pi, sqrt
 
 import numpy as np
 
@@ -154,11 +154,16 @@ def _as_banded(A, name):
     return SymmetricBanded.from_dense(A)
 
 
+def _positive_finite(name, value):
+    x = float(value)
+    if not 0.0 < x < inf:
+        raise ConfigurationError("%s must be positive and finite, got %r" % (name, value))
+    return x
+
+
 def scalar_mode(lambda_theta):
     """Single-dof decay mode: M = [1], K = [lambda], F = 0."""
-    lam = float(lambda_theta)
-    if lam <= 0:
-        raise ConfigurationError("lambda_theta must be positive, got %r" % (lambda_theta,))
+    lam = _positive_finite("lambda_theta", lambda_theta)
 
     def zero_forcing(m, t):
         return np.zeros(1)
@@ -190,12 +195,10 @@ def heat_fem_1d(elements, kappa):
     """
     if elements < 2:
         raise ConfigurationError("need at least 2 elements, got %r" % (elements,))
-    if kappa <= 0:
-        raise ConfigurationError("kappa must be positive, got %r" % (kappa,))
+    kappa = _positive_finite("kappa", kappa)
     ne = int(elements)
     n = ne - 1
     h = 1.0 / ne
-    kappa = float(kappa)
     M = _fem_mass(ne)
     K = _element_band(n, kappa / h * 1.0, kappa / h * -1.0)
 
@@ -272,9 +275,7 @@ def manufactured_heat(case_id, kappa=1.0):
         raise ConfigurationError(
             "unknown manufactured case %r; available: 'sin-decay'" % (case_id,)
         )
-    kap = float(kappa)
-    if kap <= 0:
-        raise ConfigurationError("kappa must be positive, got %r" % (kappa,))
+    kap = _positive_finite("kappa", kappa)
     amp = kap * pi ** 2 - 1.0
 
     def u(x, t):

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -442,11 +443,117 @@ def _modules_after(code):
 
 
 def test_analysis_commands_do_not_import_scipy_linalg(tmp_path):
-    # scipy.linalg is most of the import time; only a factorization loads it
+    # scipy.linalg's package init is most of the import time; the analysis
+    # commands never factor, and the factoring ones bind LAPACK without it
     assert "scipy.linalg" not in _modules_after("")
-    out = tmp_path / "curve.csv"
-    spectrum = "galpha.cli.main(%r)" % (SPECTRUM_ARGS + ["--out", str(out)],)
-    assert "scipy.linalg" not in _modules_after(spectrum)
-    solve = "galpha.cli.main(%r)" % (
-        ["solve", "--k", "1", "--rho", "1", "--tau", "0.1", "--steps", "2", "--out", str(out)],)
-    assert "scipy.linalg" in _modules_after(solve)
+    out = tmp_path / "out.csv"
+    for argv in (
+        SPECTRUM_ARGS,
+        ["solve", "--k", "1", "--rho", "1", "--tau", "0.1", "--steps", "2"],
+        ["converge", "--k", "2", "--rho", "0.5", "--problem", "heat", "--elements", "16"],
+    ):
+        loaded = _modules_after("assert galpha.cli.main(%r) == 0" % (argv + ["--out", str(out)],))
+        assert "scipy.linalg" not in loaded, argv[0]
+        assert "scipy.linalg._flapack" not in loaded, argv[0]
+
+
+@pytest.mark.parametrize("u0", ["nan", "inf"])
+def test_solve_rejects_nonfinite_u0(tmp_path, capsys, u0):
+    out = tmp_path / "run.csv"
+    assert run_cli(tmp_path, "solve", extra=[
+        "--k", 1, "--rho", 1, "--tau", 0.1, "--steps", 2, "--u0", u0, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "U0 must be finite" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "converge"])
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_nonfinite_lambda_theta_rejected(tmp_path, capsys, command, lam):
+    extra = ["--k", 1, "--rho", 1, "--lambda-theta", lam]
+    if command == "solve":
+        extra += ["--tau", 0.1, "--steps", 2]
+    assert run_cli(tmp_path, command, extra=extra) == 2
+    err = capsys.readouterr().err
+    assert "lambda_theta must be positive and finite" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "converge"])
+@pytest.mark.parametrize("kappa", ["nan", "inf"])
+def test_nonfinite_kappa_rejected(tmp_path, capsys, command, kappa):
+    extra = ["--k", 1, "--rho", 1, "--problem", "heat", "--elements", 8, "--kappa", kappa]
+    if command == "solve":
+        extra += ["--tau", 0.1, "--steps", 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(tmp_path, command, extra=extra) == 2
+    err = capsys.readouterr().err
+    assert "kappa must be positive and finite" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_converge_rejects_halvings_past_underflow(tmp_path, capsys):
+    assert run_cli(tmp_path, "converge", extra=[
+        "--k", 1, "--rho", 0.5, "--halvings", 2000]) == 2
+    err = capsys.readouterr().err
+    assert "underflows to zero" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("tau_max", ["nan", "inf", "-0.5"])
+def test_converge_rejects_bad_tau_max(tmp_path, capsys, tau_max):
+    assert run_cli(tmp_path, "converge", extra=[
+        "--k", 1, "--rho", 0.5, "--tau-max", tau_max]) == 2
+    err = capsys.readouterr().err
+    assert "tau_max must be positive and finite" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_converge_rejects_tau_whose_top_power_overflows(tmp_path, capsys):
+    assert run_cli(tmp_path, "converge", extra=[
+        "--k", 2, "--rho", 0.5, "--T", "1e300", "--tau-max", "1e299"]) == 2
+    err = capsys.readouterr().err
+    assert "tau^3 overflows" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_order_check_rejects_nonfinite_perturbation(tmp_path, capsys, eps):
+    out = tmp_path / "oc.csv"
+    assert run_cli(tmp_path, "order-check", extra=[
+        "--k-list", "1", "--perturb-gamma", eps, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "perturb_gamma must be finite" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_order_check_applies_a_negative_perturbation(tmp_path):
+    out = tmp_path / "oc.csv"
+    assert run_cli(tmp_path, "order-check", extra=[
+        "--k-list", "1,2", "--perturb-gamma", "-1e-2", "--out", out]) == 0
+    _, rows, footers = read_table(out)
+    assert [r[1] for r in rows] == ["0", "1", "0", "1"]
+    for k in (1, 2):
+        assert 0.8 <= float(footers["slope_drop_k%d" % k]) <= 1.5
+    assert footers["degraded"] == "true"
+
+
+@pytest.mark.parametrize("k, rho, re, im, res", [
+    (3, 0.0, (0.0, 100.0), (-100.0, 100.0), 41),
+    (1, 1.0, (-4.0, 0.0), (-1.0, 1.0), 9),  # the pole at theta = -2: a nan cell
+])
+def test_stability_map_rows_match_cellwise_formatting(tmp_path, k, rho, re, im, res):
+    # the chunked float writer gives the bytes of one _fmt call per cell
+    out = tmp_path / "map.csv"
+    assert run_cli(tmp_path, "stability-map", extra=[
+        "--k", k, "--rho", rho, "--re-min", re[0], "--re-max", re[1], "--im-min", im[0],
+        "--im-max", im[1], "--resolution", res, "--out", out]) == 0
+    region = galpha.stability_region(params_from_rho([rho] * k), re, im, res)
+    expected = [",".join(cli._fmt(v) for v in (x, y, region.rho[i, j]))
+                for i, x in enumerate(region.re) for j, y in enumerate(region.im)]
+    _, rows, _ = read_table(out)
+    assert [",".join(row) for row in rows] == expected
+    assert any("nan" in line for line in expected) == (re[0] < 0)

@@ -1,11 +1,16 @@
 """Self-starting initialization and the k-stage stepping loop."""
 
+import os
+import re
+import subprocess
+import sys
 import time
 from math import factorial
 
 import numpy as np
 import pytest
 
+import galpha
 from galpha import (
     ConfigurationError,
     LinearSolveError,
@@ -21,7 +26,9 @@ from galpha import (
     scalar_mode,
     step,
     MethodParams,
+    SymmetricBanded,
 )
+from galpha.integrator import _Factorization, _flapack
 
 
 def test_init_state_scalar_stack_exact():
@@ -69,6 +76,23 @@ def test_init_state_rejects_singular_mass():
     )
     with pytest.raises(LinearSolveError):
         init_state(system, np.zeros(2), k=1, tau=0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_init_state_rejects_nonfinite_u0(bad):
+    with pytest.raises(ConfigurationError, match="U0 must be finite"):
+        init_state(scalar_mode(1.0), np.array([bad]), k=1, tau=0.1)
+
+
+@pytest.mark.parametrize("tau", [1e200, np.float64(1e200)])
+def test_tau_whose_top_power_overflows_rejected(tau):
+    # k = 2 scales by tau^3 = 1e600; k = 1 needs only tau itself
+    system = scalar_mode(1.0)
+    with pytest.raises(ConfigurationError, match=r"tau\^3 overflows"):
+        init_state(system, np.array([1.0]), k=2, tau=tau)
+    with pytest.raises(ConfigurationError, match=r"tau\^3 overflows"):
+        StepWorkspace.build(system, params_from_rho([0.5, 0.5]), tau)
+    assert init_state(system, np.array([1.0]), k=1, tau=tau).tau == 1e200
 
 
 def test_init_state_solves_with_a_pentadiagonal_mass():
@@ -306,3 +330,67 @@ def test_overflowing_stage_matrix_rejected():
     # tau * lambda overflows to inf: a numerical failure, not a LAPACK traceback
     with pytest.raises(LinearSolveError, match="non-finite"):
         StepWorkspace.build(scalar_mode(1e10), params_from_rho([0.5]), 1e300)
+
+
+def test_lapack_binding_loads_scipys_flapack_file():
+    from scipy.linalg import lapack
+    assert os.path.samefile(_flapack().__file__, lapack._flapack.__file__)
+
+
+@pytest.mark.parametrize("u", [0, 1, 2])
+def test_lapack_binding_matches_scipy_linalg_bitwise(u):
+    from scipy.linalg import lapack
+    rng = np.random.default_rng(70 + u)
+    n = 40
+    ab = rng.uniform(-1.0, 1.0, (u + 1, n))
+    ab[u] = 2.0 * u + rng.uniform(0.5, 1.5, n)  # diagonally dominant: SPD
+    fac = _Factorization(SymmetricBanded(ab))
+    ref, info = lapack.dpbtrf(ab, lower=0)
+    assert info == 0
+    assert fac.fac.tobytes() == ref.tobytes()
+    rhs = rng.standard_normal(n)
+    assert fac.solve(rhs).tobytes() == lapack.dpbtrs(ref, rhs, lower=0)[0].tobytes()
+
+
+def test_lapack_binding_names_the_folder_when_flapack_is_missing(monkeypatch, tmp_path):
+    import scipy
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+    folder = str(tmp_path / "scipy" / "linalg")
+    with pytest.raises(ImportError, match=re.escape(folder)):
+        _flapack.__wrapped__()
+
+
+_MARCH = """
+import hashlib, sys
+import numpy as np
+from galpha import integrate, manufactured_heat, params_from_rho
+
+def march():
+    case = manufactured_heat("sin-decay")
+    system = case.assemble(64)
+    traj = integrate(system, case.u0(np.arange(1, 64) / 64.0),
+                     params_from_rho([0.5, 0.5, 0.5]), 1 / 16, 16)
+    return hashlib.sha256(b"".join(s.data.tobytes() for s in traj)).hexdigest()
+"""
+
+
+def _fresh_python(code):
+    """stdout of a fresh interpreter that imports this galpha and runs code."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(galpha.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_march_is_identical_whether_scipy_linalg_is_imported_first_or_later():
+    first = _fresh_python(_MARCH + "import scipy.linalg\nprint(march())")
+    later = _fresh_python(_MARCH + """
+digest = march()
+assert "scipy.linalg" not in sys.modules
+import scipy.linalg
+assert march() == digest
+print(digest)
+""")
+    assert first == later

@@ -103,6 +103,16 @@ def test_fem_validation():
         heat_fem_1d(8, kappa=0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_nonfinite_physical_constants_rejected(bad):
+    with pytest.raises(ConfigurationError, match="lambda_theta must be positive and finite"):
+        scalar_mode(bad)
+    with pytest.raises(ConfigurationError, match="kappa must be positive and finite"):
+        heat_fem_1d(8, kappa=bad)
+    with pytest.raises(ConfigurationError, match="kappa must be positive and finite"):
+        manufactured_heat("sin-decay", kappa=bad)
+
+
 def test_fem_matrices_positive_definite():
     system = heat_fem_1d(12, kappa=1.0)
     np.linalg.cholesky(system.M)
