@@ -205,19 +205,14 @@ def recurrence_residual(params, lambda_theta, tau):
     defines the scalar recurrence u_{m+1} + c_{2k-1} u_m + ... + c_0 u_{m-2k+1} = 0;
     substituting u(t) = exp(-lambda_theta t) turns it into p(exp(-theta)), whose
     magnitude is returned raw for slope fitting. G is block upper triangular,
-    so p is the product of the stage quadratics q_j(z) = det(z I - G_j). With
-    den_j = alpha_j + b_j theta the stage denominator (b_j = gamma_j for j < k,
-    alpha_f gamma_k for the last stage) and c_j = 1 for j < k, c_k = alpha_f,
-
-        den_j q_j(z) = den_j z^2 - (2 den_j - 1 - (gamma_j + c_j) theta) z
-                       + alpha_j - 1 + (b_j + 1 - gamma_j - c_j) theta,
-
-    so q_j(1) = theta / den_j. For |theta| <= 1 each factor is expanded about
-    z = 1 in s = theta + expm1(-theta), with the theta^2 coefficient summed
-    exactly and the rest from the series tail, which leaves no cancellation:
-    the residual is accurate to a few ulps relative however small it is, and
-    needs no roundoff floor in the slope fit. Raises PoleError where a stage
-    denominator vanishes.
+    so p is the product of the stage quadratics q_j(z) = det(z I - G_j), one
+    per row of the stage table, whose docstring (MethodParams._stages) writes
+    den_j q_j out; q_j(1) = theta / den_j. For |theta| <= 1 each factor is
+    expanded about z = 1 in s = theta + expm1(-theta), with the theta^2
+    coefficient summed exactly and the rest from the series tail, which leaves
+    no cancellation: the residual is accurate to a few ulps relative however
+    small it is, and needs no roundoff floor in the slope fit. Raises
+    PoleError where a stage denominator vanishes.
     """
     theta = complex(lambda_theta * tau)
     small = abs(theta) <= 1.0
@@ -226,11 +221,8 @@ def recurrence_residual(params, lambda_theta, tau):
         s = theta * theta / 2.0 + tail
     else:
         z = complex(np.exp(-theta))
-    k = params.k
     product = complex(1.0)
-    for j in range(k):
-        a, g = params.alpha[j], params.gamma[j]
-        b, c = (g, 1.0) if j < k - 1 else (params.alpha_f * g, params.alpha_f)
+    for j, (a, g, c, b) in enumerate(params._stages):
         den = a + b * theta
         if den == 0:
             raise PoleError(j + 1, theta)

@@ -6,7 +6,7 @@ Commands: spectrum, stability-map, converge, order-check, solve. Every flag
 has a config-file equivalent (underscored key); flags override the file. All
 output is deterministic CSV with a header row, %.17g numbers, and trailing
 '# key = value' comment lines for summaries. Exit codes: 0 success, 1
-numerical failure, 2 configuration error.
+numerical failure (a non-finite march included), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ EXIT_CONFIG = 2
 # and the product-form residual keeps full relative accuracy on it
 ORDER_CHECK_TAUS = np.logspace(-2.0, -3.0, 6)
 DEGRADATION_FLAG = 0.8
+# most steps one converge run may march, summed over its tau grid
+MAX_CONVERGE_STEPS = 2 ** 22
 # rows per formatting chunk of a float table: bounds the text held at once
 FLOAT_CHUNK_ROWS = 1 << 14
 # argparse takes only '-1' and '-1.5' style tokens as negative numbers; this
@@ -300,13 +302,18 @@ def _converge_errors(cfg):
         raise ConfigurationError(
             "tau_max = %g halved %d times underflows to zero" % (tau_max, halvings))
     taus = [ldexp(tau_max, -i) for i in range(halvings + 1)]
+    total = sum(T / tau for tau in taus)
+    if total > MAX_CONVERGE_STEPS:
+        raise ConfigurationError("converge would march %.3g steps over %d tau values; the "
+                                 "budget is %d" % (total, len(taus), MAX_CONVERGE_STEPS))
+    steps = [_steps_for(T, tau) for tau in taus]
     errs = []
     if problem == "scalar":
         lam = float(cfg.get("lambda_theta", 1.0))
         system = scalar_mode(lam)
         exact = float(np.exp(-lam * T))
-        for tau in taus:
-            traj = integrate(system, np.array([1.0]), prm, tau, _steps_for(T, tau))
+        for tau, n in zip(taus, steps):
+            traj = integrate(system, np.array([1.0]), prm, tau, n)
             errs.append(abs(float(traj[-1].u[0]) - exact))
         scale = max(abs(exact), 1.0)
     elif problem == "heat":
@@ -316,8 +323,8 @@ def _converge_errors(cfg):
         system = case.assemble(elements)
         x = np.arange(1, system.n + 1) / float(elements)
         U0 = case.u0(x)
-        for tau in taus:
-            traj = integrate(system, U0, prm, tau, _steps_for(T, tau))
+        for tau, n in zip(taus, steps):
+            traj = integrate(system, U0, prm, tau, n)
             errs.append(l2_error(traj[-1].u, case, T))
         scale = 1.0
     else:

@@ -20,7 +20,7 @@ from math import factorial, inf
 
 import numpy as np
 
-from .exceptions import ConfigurationError, LinearSolveError
+from .exceptions import ConfigurationError, GalphaError, LinearSolveError
 from .params import validate_stability
 
 __all__ = ["StateVector", "StepWorkspace", "init_state", "step", "integrate"]
@@ -149,12 +149,8 @@ class StepWorkspace:
         _check_tau(tau, k)
         ws = cls(params=params, tau=float(tau), n=system.n, factors=[],
                  inv_fact=tuple(1.0 / factorial(i) for i in range(2 * k)))
-        for j in range(k):
-            coef = params.gamma[j] * tau
-            if j == k - 1:
-                coef *= params.alpha_f
-            S = system.M.combine(params.alpha[j], system.K, coef)
-            ws.factors.append(_Factorization(S))
+        for a, g, c, _ in params._stages:
+            ws.factors.append(_Factorization(system.M.combine(a, system.K, g * tau * c)))
             ws.n_factorizations += 1
         return ws
 
@@ -241,16 +237,21 @@ def step(state, system, params, t_n, tau, ws):
 def integrate(system, U0, params, tau, n_steps, t0=0.0):
     """Run n_steps steps from the self-started state; factor each stage once.
 
-    Returns the trajectory [state_0, state_1, ..., state_{n_steps}].
+    Returns the trajectory [state_0, state_1, ..., state_{n_steps}]. The march
+    is linear, so once an entry overflows it never turns finite again: one
+    check of the last state raises GalphaError for the whole run.
     """
     if n_steps < 0:
         raise ConfigurationError("n_steps must be >= 0, got %r" % (n_steps,))
-    state = init_state(system, U0, params.k, tau, t0=t0)
-    trajectory = [state]
-    if n_steps == 0:
-        return trajectory
-    ws = StepWorkspace.build(system, params, tau)
-    for i in range(int(n_steps)):
-        state = step(state, system, params, t0 + i * tau, tau, ws)
-        trajectory.append(state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = init_state(system, U0, params.k, tau, t0=t0)
+        trajectory = [state]
+        if n_steps > 0:
+            ws = StepWorkspace.build(system, params, tau)
+            for i in range(int(n_steps)):
+                state = step(state, system, params, t0 + i * tau, tau, ws)
+                trajectory.append(state)
+    if not np.all(np.isfinite(state.data)):
+        raise GalphaError("the march overflows: the state after %d steps of tau = %g "
+                          "is not finite" % (len(trajectory) - 1, tau))
     return trajectory

@@ -14,6 +14,7 @@ which both collapse to gamma_j = 1/(1 + rho_j).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exceptions import ConfigurationError
 
@@ -80,6 +81,31 @@ class MethodParams:
                 "expected %d alpha and gamma entries, got %d and %d"
                 % (self.k, len(self.alpha), len(self.gamma))
             )
+
+    @cached_property
+    def _stages(self):
+        """The stage table: one row (alpha_j, gamma_j, c_j, b_j) per stage.
+
+        c_j = 1 for j < k; c_k = alpha_f, as the last stage imposes the
+        equation at t_n + alpha_f tau. b_j = c_j gamma_j. Stage j of the march
+        factors alpha_j M + gamma_j tau c_j K, and on the scalar mode u' = -lambda u,
+        theta = tau lambda, it has the amplification block
+
+            G_j = [[alpha_j + (c_j - 1) gamma_j theta,  alpha_j - gamma_j],
+                   [-theta,  alpha_j + c_j (gamma_j - 1) theta - 1]] / den_j,
+
+        den_j = alpha_j + b_j theta, whose quadratic q_j(z) = det(z I - G_j) is
+
+            den_j q_j(z) = den_j z^2 - (n0 + n1 theta) z + d0 + d1 theta,
+            n0 = 2 alpha_j - 1,  n1 = -(gamma_j (1 - c_j) + c_j (1 - gamma_j)),
+            d0 = alpha_j - 1,    d1 = (1 - gamma_j)(1 - c_j).
+
+        So q_j(1) = theta / den_j, and den_j^2 times the discriminant is
+        P = 1 + 2 (gamma_j + c_j - 2 alpha_j) theta + (gamma_j - c_j)^2 theta^2.
+        As |theta| grows the roots tend to (c_j - 1)/c_j and (gamma_j - 1)/gamma_j.
+        """
+        cs = (1.0,) * (self.k - 1) + (self.alpha_f,)
+        return tuple((a, g, c, c * g) for a, g, c in zip(self.alpha, self.gamma, cs))
 
     def with_gamma(self, gamma):
         """Copy with the gamma tuple replaced (used for perturbation studies)."""

@@ -36,32 +36,21 @@ KERNEL_CHUNK = 1 << 14
 
 
 def _stage_blocks(params, theta):
-    """Closed-form diagonal blocks G_1 ... G_k at a given theta.
+    """Closed-form diagonal blocks G_1 ... G_k at a given theta, from the
+    stage table (MethodParams._stages).
 
-    Raises PoleError when a stage denominator vanishes; that happens only for
-    real theta < 0 (at theta = -alpha_j/gamma_j and the alpha_f-weighted analogue).
+    Raises PoleError when a stage denominator alpha_j + b_j theta vanishes;
+    that happens only for real theta < 0.
     """
     th = complex(theta)
-    k = params.k
     blocks = []
-    for j in range(k):
-        a = params.alpha[j]
-        g = params.gamma[j]
-        if j < k - 1:
-            den = a + g * th
-            if den == 0:
-                raise PoleError(j + 1, theta)
-            blocks.append(np.array(
-                [[a, a - g],
-                 [-th, a + (g - 1.0) * th - 1.0]], dtype=complex) / den)
-        else:
-            af = params.alpha_f
-            den = a + af * g * th
-            if den == 0:
-                raise PoleError(j + 1, theta)
-            blocks.append(np.array(
-                [[a + (af - 1.0) * g * th, a - g],
-                 [-th, a + af * (g - 1.0) * th - 1.0]], dtype=complex) / den)
+    for j, (a, g, c, b) in enumerate(params._stages):
+        den = a + b * th
+        if den == 0:
+            raise PoleError(j + 1, theta)
+        blocks.append(np.array(
+            [[a + (c - 1.0) * g * th, a - g],
+             [-th, a + c * (g - 1.0) * th - 1.0]], dtype=complex) / den)
     return blocks
 
 
@@ -70,7 +59,8 @@ def _dense_from_stage_equations(params, theta):
 
     State ordering w_m = tau^m u^(m), m = 0..2k-1. Stage j couples the pair
     (2j-2, 2j-1); rows of R hold the Taylor-predictor coefficients, so the
-    block lower triangle is exactly zero by construction.
+    block lower triangle is exactly zero by construction. It reads alpha_f
+    itself, not the stage table, to stay an independent oracle.
     """
     th = complex(theta)
     k = params.k
@@ -81,23 +71,18 @@ def _dense_from_stage_equations(params, theta):
         e, o = 2 * j - 2, 2 * j - 1
         a = params.alpha[j - 1]
         g = params.gamma[j - 1]
-        last = j == k
+        c = params.alpha_f if j == k else 1.0
         L[e, e] = 1.0
         L[e, o] = -g
-        L[o, e] = (params.alpha_f if last else 1.0) * th
+        L[o, e] = c * th
         L[o, o] = a
-        if last:
-            R[e, e] = 1.0
-            R[e, o] = 1.0 - g
-            R[o, e] = -(1.0 - params.alpha_f) * th
-            R[o, o] = a - 1.0
-        else:
-            # predictors t_m = sum_i w_{m+i} / i!
-            for i in range(n - e):
-                R[e, e + i] += 1.0 / factorial(i)
-            for i in range(n - o):
-                R[e, o + i] += -g / factorial(i)
-                R[o, o + i] += (a - 1.0) / factorial(i)
+        R[o, e] = -(1.0 - c) * th
+        # predictors t_m = sum_i w_{m+i} / i!
+        for i in range(n - e):
+            R[e, e + i] += 1.0 / factorial(i)
+        for i in range(n - o):
+            R[e, o + i] += -g / factorial(i)
+            R[o, o + i] += (a - 1.0) / factorial(i)
     # L is block diagonal over the stage pairs, so solve blockwise; this keeps
     # the zero pattern of R exact in the result.
     G = np.zeros((n, n), dtype=complex)
@@ -174,31 +159,21 @@ def _stage_root_magnitudes(params, theta):
 
     Returns mags of shape S + (2k,), stage pairs in order with each pair in
     descending order, and a pole mask of shape S + (k,) set where a stage
-    denominator vanishes; mags carries no meaning at a pole. With c_j = 1 for
-    j < k, c_k = alpha_f and b_j = c_j gamma_j, stage j has den = alpha_j +
-    b_j theta and, as in recurrence_residual,
-
-        den tr  = n0 + n1 theta,  n0 = 2 alpha_j - 1,
-                                  n1 = -(gamma_j (1 - c_j) + c_j (1 - gamma_j)),
-        den det = d0 + d1 theta,  d0 = alpha_j - 1,  d1 = (1 - gamma_j)(1 - c_j),
-
-    so den^2 (tr^2 - 4 det) = P = 1 + 2 (gamma_j + c_j - 2 alpha_j) theta
-    + (gamma_j - c_j)^2 theta^2, in factored coefficients that carry no
-    cancellation. The roots are big / (2 den) and 2 den det / big, where
-    big = den tr +- sqrt(P) takes the sign of larger modulus, so neither root
-    is formed by cancellation either. The rho parameterization has
-    gamma_k = alpha_f, so for the last stage P is linear in theta and the
-    pair that meets at -rho_k as theta grows (a double root at -1 for
-    rho_k = 1) keeps full accuracy.
+    denominator vanishes; mags carries no meaning at a pole. Per stage, with
+    the coefficients of the stage table (MethodParams._stages), den tr and
+    den det are linear in theta and den^2 (tr^2 - 4 det) is the quadratic P,
+    all in factored coefficients that carry no cancellation. The roots are
+    big / (2 den) and 2 den det / big, where big = den tr +- sqrt(P) takes the
+    sign of larger modulus, so neither root is formed by cancellation either.
+    The rho parameterization has gamma_k = alpha_f, so for the last stage P
+    is linear in theta and the pair that meets at -rho_k as theta grows (a
+    double root at -1 for rho_k = 1) keeps full accuracy.
     """
     th = np.asarray(theta, dtype=complex)
     k = params.k
-    rows = []
-    for j in range(k):
-        a, g = params.alpha[j], params.gamma[j]
-        c = 1.0 if j < k - 1 else params.alpha_f
-        rows.append((a, c * g, 2.0 * a - 1.0, -(g * (1.0 - c) + c * (1.0 - g)),
-                     a - 1.0, (1.0 - g) * (1.0 - c), 2.0 * (g + c - 2.0 * a), (g - c) ** 2))
+    rows = [(a, b, 2.0 * a - 1.0, -(g * (1.0 - c) + c * (1.0 - g)), a - 1.0,
+             (1.0 - g) * (1.0 - c), 2.0 * (g + c - 2.0 * a), (g - c) ** 2)
+            for a, g, c, b in params._stages]
     # each coefficient as a (k, 1) column against a (1, n) row of nodes
     a, b, n0, n1, d0, d1, p1, p2 = np.array(rows).T[:, :, None]
     nodes = th.reshape(1, -1)
@@ -257,22 +232,16 @@ def spectral_radius(params, theta):
 def asymptotic_eigenvalues(params):
     """Eigenvalue limits of G(theta) as |theta| grows, in stage-pair order.
 
-    Stage j < k contributes {0, (gamma_j - 1) / gamma_j}; the last stage
-    contributes {(alpha_f - 1) / alpha_f, (gamma_k - 1) / gamma_k}. With the
-    rho parameterization every nonzero limit equals -rho of its stage.
+    Stage j contributes {(c_j - 1) / c_j, (gamma_j - 1) / gamma_j} from the
+    stage table: 0 for j < k, where c_j = 1. With the rho parameterization
+    every nonzero limit equals -rho of its stage.
     """
-    k = params.k
     out = []
-    for j in range(k - 1):
-        g = params.gamma[j]
-        if g == 0:
-            raise ConfigurationError("gamma_%d = 0 has no asymptotic limit" % (j + 1,))
-        out.extend([0.0 + 0.0j, complex((g - 1.0) / g)])
-    g = params.gamma[k - 1]
-    af = params.alpha_f
-    if g == 0 or af == 0:
-        raise ConfigurationError("gamma_%d = 0 or alpha_f = 0 has no asymptotic limit" % (k,))
-    out.extend([complex((af - 1.0) / af), complex((g - 1.0) / g)])
+    for j, (_, g, c, _) in enumerate(params._stages):
+        if g == 0 or c == 0:
+            raise ConfigurationError(
+                "stage %d has no asymptotic limit: gamma = %g, c = %g" % (j + 1, g, c))
+        out.extend([complex((c - 1.0) / c), complex((g - 1.0) / g)])
     return tuple(out)
 
 

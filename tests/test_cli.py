@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -500,6 +501,31 @@ def test_converge_rejects_halvings_past_underflow(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "underflows to zero" in err
     assert len(err.splitlines()) == 1
+
+
+def test_converge_rejects_a_grid_past_the_step_budget(tmp_path, capsys):
+    # about 2^42 steps at --halvings 40: rejected before any march, not run for days
+    start = time.perf_counter()
+    assert run_cli(tmp_path, "converge", extra=[
+        "--k", 1, "--rho", 0.5, "--halvings", 40]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "steps over 41 tau values; the budget is %d" % cli.MAX_CONVERGE_STEPS in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("solve", ["--k", 1, "--rho", 0.5, "--tau", "1e300", "--steps", 2]),
+    ("converge", ["--k", 1, "--rho", 0.5, "--problem", "heat", "--tau-max", "1e300",
+                  "--T", "1e300"]),
+])
+def test_march_that_overflows_exits_one_without_csv(tmp_path, capsys, command, extra):
+    out = tmp_path / "out.csv"
+    assert run_cli(tmp_path, command, extra=[*extra, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "the march overflows" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("tau_max", ["nan", "inf", "-0.5"])

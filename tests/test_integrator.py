@@ -13,6 +13,7 @@ import pytest
 import galpha
 from galpha import (
     ConfigurationError,
+    GalphaError,
     LinearSolveError,
     SemiDiscreteSystem,
     StateVector,
@@ -149,6 +150,21 @@ def test_step_equals_amplification_matrix_action():
     np.testing.assert_allclose(out.data[:, 0], expected, rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("k", [5, 6])
+def test_step_equals_amplification_matrix_action_at_high_stage_counts(k):
+    rng = np.random.default_rng(k)
+    system = scalar_mode(1.0)
+    for _ in range(10):
+        prm = params_from_rho(rng.uniform(0.0, 1.0, k).tolist())
+        tau = 10.0 ** rng.uniform(-3.0, 3.0)
+        v = rng.standard_normal(2 * k)
+        state = StateVector(k=k, tau=tau, data=v[:, None])
+        out = step(state, system, prm, 0.0, tau, StepWorkspace.build(system, prm, tau))
+        expected = amplification_matrix(prm, tau).dense.real @ v
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        assert np.max(np.abs(out.data[:, 0] - expected)) <= 1e-12 * scale
+
+
 def test_stepper_equals_matrix_powers():
     rng = np.random.default_rng(606)
     for _ in range(10):
@@ -258,6 +274,16 @@ def test_integrate_zero_steps():
     traj = integrate(scalar_mode(1.0), np.array([1.0]), params_from_rho([0.5]), 0.1, 0)
     assert len(traj) == 1
     assert traj[0].u[0] == 1.0
+
+
+@pytest.mark.parametrize("n_steps", [0, 2])
+def test_integrate_rejects_a_march_that_overflows(n_steps):
+    # the first stage's rhs (n_steps = 2) or the scaled initial derivative
+    # tau u'(0) (n_steps = 0) overflows; no warning leaks
+    lam = 1.0 if n_steps else 1e200
+    with pytest.raises(GalphaError, match="the march overflows"):
+        integrate(scalar_mode(lam), np.array([1.0]), params_from_rho([0.5]),
+                  1e300 if n_steps else 1e200, n_steps)
 
 
 def test_integrate_rejects_negative_steps():

@@ -23,6 +23,9 @@ from galpha.spectral import _stage_root_magnitudes
 # magnitude of the conjugate pair of the last stage at theta = 1e8 for
 # rho_k = 0: the decay there is algebraic, (2 theta)^(-1/2) to leading order
 HIGH_FREQ_RESIDUE = 7.071067758832469e-05
+# (gamma - 1) / gamma against -rho, with gamma = 1 / (1 + rho) rounded first:
+# worst measured 6.7e-16 over 20 000 random rho lists
+ASYMPTOTIC_TOL = 1e-15
 
 
 def _random_params(rng, k):
@@ -131,6 +134,17 @@ def test_asymptotic_eigenvalues_mixed_controls():
     np.testing.assert_allclose(
         sorted(abs(z) for z in eigs), [0.0, 0.2, 0.2, 0.8], atol=1e-14
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                min_size=1, max_size=6))
+def test_asymptotic_eigenvalues_are_minus_rho(rho):
+    # (0, -rho_1, ..., 0, -rho_{k-1}, -rho_k, -rho_k)
+    expected = [v for r in rho[:-1] for v in (0.0, -r)] + [-rho[-1], -rho[-1]]
+    eigs = asymptotic_eigenvalues(params_from_rho(rho))
+    assert all(z.imag == 0.0 for z in eigs)
+    np.testing.assert_allclose([z.real for z in eigs], expected, rtol=0, atol=ASYMPTOTIC_TOL)
 
 
 def test_asymptotic_limit_matches_huge_theta_evaluation():
@@ -254,9 +268,11 @@ def test_amplification_matrix_metadata():
 # ---------------------------------------------------------------------------
 # the closed-form stage-root kernel behind spectral_radius, sweeps and maps
 
-# kernel against block_eigenvalues on the 2x2 blocks: both take sqrt(eps)
-# near a double root, and the block path's roundoff there is the larger
-# (worst measured 1.0e-8 of the radius, at rho = 1 and theta = 5.7e9)
+# kernel against block_eigenvalues on the 2x2 blocks and against eigvals of
+# the dense matrix: all take sqrt(eps) near a double root, and the block and
+# dense paths' roundoff there is the larger (worst measured 1.0e-8 of the
+# radius against the blocks, at rho = 1 and theta = 5.7e9, and 1.5e-8
+# against the dense matrix over 3000 draws with |theta| <= 1e10)
 BLOCK_ROOT_TOL = 1e-7
 RHO_ONE_GRID = np.logspace(-4, 10, 401)
 
@@ -309,9 +325,13 @@ def test_kernel_bounded_and_equal_to_block_roots(case):
     radius = mags.max(axis=1)
     assert np.all(radius <= 1.0 + 1e-9)
     for theta, row, r in zip(thetas, mags, radius):
-        blocks = amplification_matrix(prm, theta).blocks
-        roots = [abs(z) for B in blocks for z in block_eigenvalues(B)]
+        amp = amplification_matrix(prm, theta)
+        roots = [abs(z) for B in amp.blocks for z in block_eigenvalues(B)]
         assert np.max(np.abs(row - roots)) <= BLOCK_ROOT_TOL * r
+        # the blocks and the kernel read one stage table; the dense matrix,
+        # assembled from the stage equations, does not
+        dense = np.sort(np.abs(np.linalg.eigvals(amp.dense)))
+        assert np.max(np.abs(np.sort(row) - dense)) <= BLOCK_ROOT_TOL * r
         assert spectral_radius(prm, theta) == pytest.approx(r, rel=1e-15, abs=0.0)
 
 
