@@ -2,9 +2,9 @@
 
 Usage: galpha <command> --config <file.json> [--out <path>] [--svg] [overrides]
 
-Commands: spectrum, stability-map, converge, order-check, solve. Every flag
-has a config-file equivalent (underscored key); flags override the file. All
-output is deterministic CSV with a header row, %.17g numbers, and trailing
+Commands: spectrum, stability-map, converge, order-check, solve. A command's
+options are the rows of its OPTIONS table: each key is a config-file key and,
+with dashes, a flag; flags override the file. All output is deterministic CSV with a header row, %.17g numbers, and trailing
 '# key = value' comment lines for summaries. Exit codes: 0 success, 1
 numerical failure (a non-finite march included), 2 configuration error.
 """
@@ -15,7 +15,7 @@ import argparse
 import json
 import re
 import sys
-from math import inf, isfinite, ldexp, log10
+from math import inf, isfinite, ldexp, log10, nan
 
 import numpy as np
 
@@ -64,7 +64,8 @@ def _float_lines(table):
 
 
 def _emit(out_path, header, rows, footers=()):
-    """Write the CSV. rows is a list of cell lists, or a 2-D float array."""
+    """Write the CSV. rows is a 2-D float array, or a list of cell lists where
+    a row holds more than floats (order-check's booleans)."""
     if isinstance(rows, np.ndarray):
         body = _float_lines(rows)
     else:
@@ -161,60 +162,148 @@ def _svg_grid_plot(path, region, title):
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# options: one (key, cast, default) row per option of each command
 
-def _load_config(args, override_keys):
-    cfg = {}
+# a row default that marks the key as one the run cannot do without
+REQUIRED = object()
+
+
+def _int(v):
+    """An integer from flag text or a JSON number; a non-integral number is refused."""
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, str) or type(v) is int:
+        return int(v)
+    raise ValueError("expected an integer, got %r" % (v,))
+
+
+def _items(v):
+    """The entries of comma text or of a JSON list."""
+    if isinstance(v, str):
+        v = [p for p in v.split(",") if p.strip() != ""]
+    elif not isinstance(v, list):
+        raise ValueError("expected a list, got %r" % (v,))
+    if not v:
+        raise ValueError("empty list")
+    return v
+
+
+def _one_or_list(cast):
+    """A cast for one value or a list of them. Comma text with one entry is
+    one value; a JSON list stays a list whatever its length."""
+    def one_or_list(v):
+        if not isinstance(v, (str, list)):
+            return cast(v)
+        vals = [cast(p) for p in _items(v)]
+        return vals[0] if isinstance(v, str) and len(vals) == 1 else vals
+    return one_or_list
+
+
+def _int_list(v):
+    return [_int(p) for p in _items(v)]
+
+
+_rho = _one_or_list(float)
+_K = ("k", _int, REQUIRED)
+_RHO = ("rho", _rho, REQUIRED)
+_PROBLEM = (("problem", str, "scalar"), ("lambda_theta", float, 1.0),
+            ("kappa", float, 1.0), ("case", str, "sin-decay"))
+OPTIONS = {
+    "spectrum": (_K, _RHO, ("theta_min", float, 1e-4), ("theta_max", float, 1e8),
+                 ("theta_points", _int, 200)),
+    "stability-map": (_K, _RHO, ("re_min", float, 0.0), ("re_max", float, 100.0),
+                      ("im_min", float, -100.0), ("im_max", float, 100.0),
+                      ("resolution", _one_or_list(_int), 21)),
+    "converge": (_K, _RHO, *_PROBLEM, ("T", float, 1.0), ("tau_max", float, 0.5),
+                 ("halvings", _int, 4), ("elements", _int, 256)),
+    "order-check": (("k_list", _int_list, (1, 2, 3)), ("rho", _rho, 0.5),
+                    ("perturb_gamma", float, 0.0)),
+    "solve": (_K, _RHO, *_PROBLEM, ("tau", float, REQUIRED), ("steps", _int, REQUIRED),
+              ("output_every", _int, 1), ("elements", _int, 64), ("m_max", _int, None),
+              ("u0", float, 1.0)),
+}
+
+
+def _load_config(args):
+    """The command's settings: its table's defaults, then the config file, then
+    the flags, each given value through its row's cast. JSON null is unset. An
+    undeclared key, a value its cast refuses and a missing required key are
+    configuration errors."""
+    table = OPTIONS[args.command]
+    given = {}
     if args.config is not None:
         try:
             with open(args.config) as fh:
-                cfg = json.load(fh)
+                given = json.load(fh)
         except OSError as exc:
             raise ConfigurationError("cannot read config file: %s" % exc) from exc
         except json.JSONDecodeError as exc:
             raise ConfigurationError("config file is not valid JSON: %s" % exc) from exc
-        if not isinstance(cfg, dict):
+        if not isinstance(given, dict):
             raise ConfigurationError("config root must be a JSON object")
-    for key in override_keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+        unknown = sorted(set(given).difference(key for key, _, _ in table))
+        if unknown:
+            raise ConfigurationError("%s takes no config key %s"
+                                     % (args.command, ", ".join(map(repr, unknown))))
+    cfg = {}
+    for key, cast, default in table:
+        cfg[key] = default
+        for val in (given.get(key), getattr(args, key)):
+            if val is not None:
+                try:
+                    cfg[key] = cast(val)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigurationError("%s: %s" % (key, exc)) from exc
+        if cfg[key] is REQUIRED:
+            raise ConfigurationError("config key '%s' is required" % key)
     return cfg
 
 
-def _parse_rho_text(text):
-    parts = [p for p in text.split(",") if p.strip() != ""]
-    if not parts:
-        raise argparse.ArgumentTypeError("empty rho list")
-    vals = [float(p) for p in parts]
-    return vals[0] if len(vals) == 1 else vals
-
-
-def _parse_int_list(text):
-    parts = [p for p in text.split(",") if p.strip() != ""]
-    if not parts:
-        raise argparse.ArgumentTypeError("empty list")
-    return [int(p) for p in parts]
-
-
-def _require(cfg, key):
-    if key not in cfg:
-        raise ConfigurationError("config key '%s' is required" % key)
-    return cfg[key]
-
-
 def _cfg_params(cfg):
-    k = int(_require(cfg, "k"))
-    rho = _require(cfg, "rho")
-    if isinstance(rho, (int, float)):
-        spectrum = RhoSpectrum.uniform(float(rho), k)
+    k, rho = cfg["k"], cfg["rho"]
+    if isinstance(rho, float):
+        spectrum = RhoSpectrum.uniform(rho, k)
     else:
-        spectrum = RhoSpectrum(tuple(float(r) for r in rho))
+        spectrum = RhoSpectrum(tuple(rho))
         if spectrum.k != k:
             raise ConfigurationError(
                 "rho list has %d entries but k = %d" % (spectrum.k, k)
             )
     return params_from_rho(spectrum)
+
+
+def _problem(problem, lambda_theta, elements, kappa, case, u0=1.0, m_max=None, **_):
+    """The system of a scalar-mode or heat run, its nodes (None for the scalar
+    mode), its initial state U0, its exact solution exact(t) at the nodes and
+    its error measure error(U, t): |U - exact| for the scalar mode, the
+    mass-weighted L2 error for heat. m_max, when set, caps the forcing
+    derivatives the system offers."""
+    if problem == "scalar":
+        system = scalar_mode(lambda_theta)
+        x = None
+        U0 = np.array([u0])
+
+        def exact(t):
+            return u0 * np.exp(-lambda_theta * t)
+
+        def error(U, t):
+            return abs(float(U[0]) - float(exact(t)))
+    elif problem == "heat":
+        heat = manufactured_heat(case, kappa=kappa)
+        system = heat.assemble(elements)
+        x = np.arange(1, system.n + 1) / float(elements)
+        U0 = heat.u0(x)
+
+        def exact(t):
+            return heat.u(x, t)
+
+        def error(U, t):
+            return l2_error(U, heat, t)
+    else:
+        raise ConfigurationError("unknown problem %r; use 'scalar' or 'heat'" % (problem,))
+    if m_max is not None:
+        system.m_max = m_max
+    return system, x, U0, exact, error
 
 
 def _svg_path(args):
@@ -242,11 +331,11 @@ def _steps_for(T, tau):
 # commands
 
 def cmd_spectrum(args):
-    cfg = _load_config(args, ("k", "rho", "theta_min", "theta_max", "theta_points"))
+    cfg = _load_config(args)
+    svg = _svg_path(args)
     prm = _cfg_params(cfg)
-    tmin, tmax = check_range("theta", cfg.get("theta_min", 1e-4),
-                             cfg.get("theta_max", 1e8), positive=True)
-    npts = int(cfg.get("theta_points", 200))
+    tmin, tmax = check_range("theta", cfg["theta_min"], cfg["theta_max"], positive=True)
+    npts = cfg["theta_points"]
     if npts < 1:
         raise ConfigurationError("theta_points must be >= 1, got %d" % npts)
     if npts == 1 and tmin != tmax:
@@ -260,19 +349,17 @@ def cmd_spectrum(args):
         ("rho_G_at_theta_max", sweep.rho[-1]),
     ]
     _emit(args.out, header, rows, footers)
-    svg = _svg_path(args)
     if svg:
         _svg_line_plot(svg, sweep.theta, sweep.rho, "spectral radius vs theta", logx=True)
     return EXIT_OK
 
 
 def cmd_stability_map(args):
-    cfg = _load_config(args, ("k", "rho", "re_min", "re_max", "im_min", "im_max",
-                              "resolution"))
+    cfg = _load_config(args)
+    svg = _svg_path(args)
     prm = _cfg_params(cfg)
-    re_rng = (float(cfg.get("re_min", 0.0)), float(cfg.get("re_max", 100.0)))
-    im_rng = (float(cfg.get("im_min", -100.0)), float(cfg.get("im_max", 100.0)))
-    region = stability_region(prm, re_rng, im_rng, cfg.get("resolution", 21))
+    region = stability_region(prm, (cfg["re_min"], cfg["re_max"]),
+                              (cfg["im_min"], cfg["im_max"]), cfg["resolution"])
     n_re, n_im = region.rho.shape
     rows = np.column_stack([np.repeat(region.re, n_im), np.tile(region.im, n_re),
                             region.rho.ravel()])
@@ -282,19 +369,15 @@ def cmd_stability_map(args):
         ("poles", int(np.count_nonzero(region.pole_mask))),
     ]
     _emit(args.out, ["re", "im", "rho_G"], rows, footers)
-    svg = _svg_path(args)
     if svg:
         _svg_grid_plot(svg, region, "spectral radius over complex theta")
     return EXIT_OK
 
 
 def _converge_errors(cfg):
-    problem = cfg.get("problem", "scalar")
-    T = float(cfg.get("T", 1.0))
-    halvings = int(cfg.get("halvings", 4))
+    T, halvings, tau_max = cfg["T"], cfg["halvings"], cfg["tau_max"]
     if halvings < 4:
         raise ConfigurationError("converge needs at least 4 tau halvings, got %d" % halvings)
-    tau_max = float(cfg.get("tau_max", 0.5))
     prm = _cfg_params(cfg)
     if not 0.0 < tau_max < inf:
         raise ConfigurationError("tau_max must be positive and finite, got %g" % tau_max)
@@ -307,66 +390,42 @@ def _converge_errors(cfg):
         raise ConfigurationError("converge would march %.3g steps over %d tau values; the "
                                  "budget is %d" % (total, len(taus), MAX_CONVERGE_STEPS))
     steps = [_steps_for(T, tau) for tau in taus]
-    errs = []
-    if problem == "scalar":
-        lam = float(cfg.get("lambda_theta", 1.0))
-        system = scalar_mode(lam)
-        exact = float(np.exp(-lam * T))
-        for tau, n in zip(taus, steps):
-            traj = integrate(system, np.array([1.0]), prm, tau, n)
-            errs.append(abs(float(traj[-1].u[0]) - exact))
-        scale = max(abs(exact), 1.0)
-    elif problem == "heat":
-        elements = int(cfg.get("elements", 256))
-        case = manufactured_heat(cfg.get("case", "sin-decay"),
-                                 kappa=float(cfg.get("kappa", 1.0)))
-        system = case.assemble(elements)
-        x = np.arange(1, system.n + 1) / float(elements)
-        U0 = case.u0(x)
-        for tau, n in zip(taus, steps):
-            traj = integrate(system, U0, prm, tau, n)
-            errs.append(l2_error(traj[-1].u, case, T))
-        scale = 1.0
-    else:
-        raise ConfigurationError("unknown problem %r; use 'scalar' or 'heat'" % (problem,))
-    return taus, errs, scale
+    system, _, U0, _, error = _problem(**cfg)
+    errs = [error(integrate(system, U0, prm, tau, n)[-1].u, T) for tau, n in zip(taus, steps)]
+    return taus, errs
 
 
 def cmd_converge(args):
-    cfg = _load_config(args, ("k", "rho", "problem", "lambda_theta", "T", "tau_max",
-                              "halvings", "elements", "kappa", "case"))
-    taus, errs, scale = _converge_errors(cfg)
-    rows = []
-    for i, (tau, err) in enumerate(zip(taus, errs)):
-        if i == 0 or errs[i] == 0:
-            order = float("nan")
-        else:
-            order = float(np.log2(errs[i - 1] / errs[i]))
-        rows.append([tau, err, order])
-    fit = fit_slope(taus, errs, scale=scale)
-    footers = [("fitted_slope", fit.slope), ("kept_points", fit.kept)]
-    _emit(args.out, ["tau", "error", "observed_order"], rows, footers)
+    cfg = _load_config(args)
     svg = _svg_path(args)
+    taus, errs = _converge_errors(cfg)
+    errs = np.array(errs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        order = np.where(errs[1:] == 0, nan, np.log2(errs[:-1] / errs[1:]))
+    # both exact solutions stay within [-1, 1], so the fit's roundoff scale is 1
+    fit = fit_slope(taus, errs)
+    footers = [("fitted_slope", fit.slope), ("kept_points", fit.kept)]
+    _emit(args.out, ["tau", "error", "observed_order"],
+          np.column_stack([taus, errs, np.r_[nan, order]]), footers)
     if svg:
         _svg_line_plot(svg, taus, errs, "global error vs tau", logx=True, logy=True)
     return EXIT_OK
 
 
 def cmd_order_check(args):
-    cfg = _load_config(args, ("k_list", "rho", "perturb_gamma"))
-    k_list = [int(k) for k in cfg.get("k_list", [1, 2, 3])]
-    rho = cfg.get("rho", 0.5)
-    if not isinstance(rho, (int, float)):
+    cfg = _load_config(args)
+    rho = cfg["rho"]
+    if not isinstance(rho, float):
         raise ConfigurationError("order-check uses a single scalar rho for all stages")
-    eps = float(cfg.get("perturb_gamma", 0.0))
+    eps = cfg["perturb_gamma"]
     if not isfinite(eps):
         raise ConfigurationError("perturb_gamma must be finite, got %g" % eps)
     rows = []
     footers = []
     degraded = False
     taus = ORDER_CHECK_TAUS
-    for k in k_list:
-        prm = params_from_rho(RhoSpectrum.uniform(float(rho), k))
+    for k in cfg["k_list"]:
+        prm = params_from_rho(RhoSpectrum.uniform(rho, k))
         report = verify_order_conditions(prm)
         res = [recurrence_residual(prm, 1.0, t) for t in taus]
         fit = fit_slope(taus, res, scale=0.0)
@@ -391,149 +450,75 @@ def cmd_order_check(args):
 
 
 def cmd_solve(args):
-    cfg = _load_config(args, ("k", "rho", "problem", "lambda_theta", "tau", "steps",
-                              "output_every", "elements", "kappa", "case", "m_max",
-                              "u0"))
+    cfg = _load_config(args)
+    svg = _svg_path(args)
     prm = _cfg_params(cfg)
-    tau = float(_require(cfg, "tau"))
-    steps = int(_require(cfg, "steps"))
+    tau, steps, every = cfg["tau"], cfg["steps"], cfg["output_every"]
     if steps < 0:
         raise ConfigurationError("steps must be >= 0, got %d" % steps)
-    every = int(cfg.get("output_every", 1))
     if every < 1:
         raise ConfigurationError("output_every must be >= 1, got %d" % every)
-    problem = cfg.get("problem", "scalar")
-    svg = _svg_path(args)
-
-    if problem == "scalar":
-        lam = float(cfg.get("lambda_theta", 1.0))
-        u0 = float(cfg.get("u0", 1.0))
-        system = scalar_mode(lam)
-        if "m_max" in cfg and cfg["m_max"] is not None:
-            system.m_max = int(cfg["m_max"])
-        traj = integrate(system, np.array([u0]), prm, tau, steps)
-        rows = []
-        ts = []
-        vals = []
-        for i, state in enumerate(traj):
-            if i % every and i != steps:
-                continue
-            t = i * tau
-            val = float(state.u[0])
-            exact = u0 * float(np.exp(-lam * t))
-            rows.append([t, 0, val, exact, abs(val - exact)])
-            ts.append(t)
-            vals.append(val)
-        _emit(args.out, ["t", "dof", "value", "exact", "abs_error"], rows,
-              [("theta", tau * lam)])
-        if svg:
-            _svg_line_plot(svg, ts, vals, "scalar mode decay")
-        return EXIT_OK
-
-    if problem == "heat":
-        elements = int(cfg.get("elements", 64))
-        case = manufactured_heat(cfg.get("case", "sin-decay"),
-                                 kappa=float(cfg.get("kappa", 1.0)))
-        system = case.assemble(elements)
-        if "m_max" in cfg and cfg["m_max"] is not None:
-            system.m_max = int(cfg["m_max"])
-        x = np.arange(1, system.n + 1) / float(elements)
-        U0 = case.u0(x)
-        traj = integrate(system, U0, prm, tau, steps)
-        rows = []
-        for i, state in enumerate(traj):
-            if i % every and i != steps:
-                continue
-            t = i * tau
-            exact = case.u(x, t)
-            for d in range(system.n):
-                val = float(state.u[d])
-                rows.append([t, d, x[d], val, float(exact[d]), abs(val - float(exact[d]))])
-        final_err = l2_error(traj[-1].u, case, steps * tau)
-        _emit(args.out, ["t", "dof", "x", "value", "exact", "abs_error"], rows,
-              [("l2_error_final", final_err)])
-        if svg:
-            _svg_line_plot(svg, x, traj[-1].u, "final solution profile")
-        return EXIT_OK
-
-    raise ConfigurationError("unknown problem %r; use 'scalar' or 'heat'" % (problem,))
+    system, x, U0, exact, error = _problem(**cfg)
+    traj = integrate(system, U0, prm, tau, steps)
+    kept = [*range(0, steps, every), steps]
+    t = np.array(kept) * tau
+    U = np.array([traj[i].u for i in kept])
+    E = exact(t[:, None])
+    m, n = U.shape
+    cols = [np.repeat(t, n), np.tile(np.arange(n), m)]
+    if x is None:
+        header = ["t", "dof", "value", "exact", "abs_error"]
+        footer = ("theta", tau * cfg["lambda_theta"])
+        plot = (t, U[:, 0], "scalar mode decay")
+    else:
+        header = ["t", "dof", "x", "value", "exact", "abs_error"]
+        cols.append(np.tile(x, m))
+        footer = ("l2_error_final", error(traj[-1].u, steps * tau))
+        plot = (x, traj[-1].u, "final solution profile")
+    cols += [U.ravel(), E.ravel(), np.abs(U - E).ravel()]
+    _emit(args.out, header, np.column_stack(cols), [footer])
+    if svg:
+        _svg_line_plot(svg, *plot)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a configuration error: one line, exit 2."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="galpha",
         description="k-stage generalized-alpha time integration and spectral analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, func, help_text in (
+        ("spectrum", cmd_spectrum, "spectral radius over a positive theta grid"),
+        ("stability-map", cmd_stability_map, "spectral radius over complex theta"),
+        ("converge", cmd_converge, "global-order sweep with tau halvings"),
+        ("order-check", cmd_order_check, "recurrence-residual slopes and order conditions"),
+        ("solve", cmd_solve, "single run, CSV trajectory"),
+    ):
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output CSV path (default: stdout)")
-        p.add_argument("--svg", action="store_true",
-                       help="also write a plot next to --out")
-        p.add_argument("--k", type=int, help="stage count")
-        p.add_argument("--rho", type=_parse_rho_text,
-                       help="dissipation control: scalar or comma list")
-
-    p = sub.add_parser("spectrum", help="spectral radius over a positive theta grid")
-    common(p)
-    p.add_argument("--theta-min", dest="theta_min", type=float)
-    p.add_argument("--theta-max", dest="theta_max", type=float)
-    p.add_argument("--theta-points", dest="theta_points", type=int)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("stability-map", help="spectral radius over complex theta")
-    common(p)
-    p.add_argument("--re-min", dest="re_min", type=float)
-    p.add_argument("--re-max", dest="re_max", type=float)
-    p.add_argument("--im-min", dest="im_min", type=float)
-    p.add_argument("--im-max", dest="im_max", type=float)
-    p.add_argument("--resolution", type=int)
-    p.set_defaults(func=cmd_stability_map)
-
-    p = sub.add_parser("converge", help="global-order sweep with tau halvings")
-    common(p)
-    p.add_argument("--problem", choices=["scalar", "heat"])
-    p.add_argument("--lambda-theta", dest="lambda_theta", type=float)
-    p.add_argument("--T", dest="T", type=float, help="final time")
-    p.add_argument("--tau-max", dest="tau_max", type=float)
-    p.add_argument("--halvings", type=int)
-    p.add_argument("--elements", type=int)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--case")
-    p.set_defaults(func=cmd_converge)
-
-    p = sub.add_parser("order-check", help="recurrence-residual slopes and order conditions")
-    common(p)
-    p.add_argument("--k-list", dest="k_list", type=_parse_int_list,
-                   help="comma list of stage counts")
-    p.add_argument("--perturb-gamma", dest="perturb_gamma", type=float)
-    p.set_defaults(func=cmd_order_check)
-
-    p = sub.add_parser("solve", help="single run, CSV trajectory")
-    common(p)
-    p.add_argument("--problem", choices=["scalar", "heat"])
-    p.add_argument("--lambda-theta", dest="lambda_theta", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--output-every", dest="output_every", type=int)
-    p.add_argument("--elements", type=int)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--case")
-    p.add_argument("--m-max", dest="m_max", type=int)
-    p.add_argument("--u0", type=float)
-    p.set_defaults(func=cmd_solve)
+        p.add_argument("--svg", action="store_true", help="also write a plot next to --out")
+        for key, _, _ in OPTIONS[name]:
+            p.add_argument("--" + key.replace("_", "-"), dest=key)
+        p.set_defaults(func=func)
     for p in [parser, *sub.choices.values()]:
         p._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ConfigurationError as exc:
         print("config error: %s" % exc, file=sys.stderr)

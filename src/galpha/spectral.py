@@ -290,13 +290,14 @@ def stability_region(params, re_range, im_range, resolution):
     (only possible for Re theta < 0) are flagged, not fatal. a_stable is None
     when no Re theta >= 0 node off a pole is sampled.
     """
-    pair = resolution if np.ndim(resolution) else (resolution, resolution)
+    pair = tuple(resolution) if np.ndim(resolution) else (resolution, resolution)
+    bad = "resolution must be a finite count or a pair of them, got %r" % (resolution,)
     try:
-        n_re, n_im = int(pair[0]), int(pair[1])
-    except (ValueError, OverflowError) as exc:
-        raise ConfigurationError(
-            "resolution must be a finite count, got %r" % (resolution,)
-        ) from exc
+        n_re, n_im = (int(n) for n in pair)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(bad) from exc
+    if (n_re, n_im) != pair:
+        raise ConfigurationError(bad)
     re_lo, re_hi = check_range("re", *re_range)
     im_lo, im_hi = check_range("im", *im_range)
     for name, n, lo, hi in (("re", n_re, re_lo, re_hi), ("im", n_im, im_lo, im_hi)):

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import galpha
 from galpha import cli, integrate, l2_error, manufactured_heat, params_from_rho
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.with_name("README.md")
 SPECTRUM_ARGS = ["spectrum", "--k", "1", "--rho", "1", "--theta-min", "1",
                  "--theta-max", "100", "--theta-points", "5"]
 
@@ -295,8 +297,12 @@ def test_unknown_problem_rejected(tmp_path, capsys):
 
 
 def test_svg_requires_out(tmp_path, capsys):
-    assert run_cli(tmp_path, "spectrum", extra=["--k", 1, "--rho", 0.5, "--svg"]) == 2
-    assert "--svg" in capsys.readouterr().err
+    # refused before any work: no CSV on stdout either
+    for command in ("spectrum", "stability-map", "converge"):
+        assert run_cli(tmp_path, command, extra=["--k", 1, "--rho", 0.5, "--svg"]) == 2
+        captured = capsys.readouterr()
+        assert "--svg" in captured.err
+        assert captured.out == ""
 
 
 def test_svg_written_next_to_csv(tmp_path):
@@ -567,19 +573,157 @@ def test_order_check_applies_a_negative_perturbation(tmp_path):
     assert footers["degraded"] == "true"
 
 
-@pytest.mark.parametrize("k, rho, re, im, res", [
-    (3, 0.0, (0.0, 100.0), (-100.0, 100.0), 41),
-    (1, 1.0, (-4.0, 0.0), (-1.0, 1.0), 9),  # the pole at theta = -2: a nan cell
-])
-def test_stability_map_rows_match_cellwise_formatting(tmp_path, k, rho, re, im, res):
+def _flags(cfg):
+    """The flags that set what cfg sets: dashed keys, lists as comma text."""
+    argv = []
+    for key, val in cfg.items():
+        argv += ["--" + key.replace("_", "-"),
+                 ",".join(map(str, val)) if isinstance(val, list) else str(val)]
+    return argv
+
+
+def _map_cells(cfg):
+    region = galpha.stability_region(
+        params_from_rho([cfg["rho"]] * cfg["k"]), (cfg["re_min"], cfg["re_max"]),
+        (cfg["im_min"], cfg["im_max"]), cfg["resolution"])
+    return [(x, y, region.rho[i, j])
+            for i, x in enumerate(region.re) for j, y in enumerate(region.im)]
+
+
+def _heat_solve_cells(cfg):
+    # one row per kept step and dof, as a per-dof loop writes them
+    case = manufactured_heat("sin-decay")
+    ne, tau, steps = cfg["elements"], cfg["tau"], cfg["steps"]
+    system = case.assemble(ne)
+    x = np.arange(1, ne) / float(ne)
+    traj = integrate(system, case.u0(x), params_from_rho([cfg["rho"]] * cfg["k"]), tau, steps)
+    cells = []
+    for i, state in enumerate(traj):
+        if i % cfg["output_every"] and i != steps:
+            continue
+        exact = case.u(x, i * tau)
+        for d in range(system.n):
+            val = float(state.u[d])
+            cells.append((i * tau, d, x[d], val, float(exact[d]), abs(val - float(exact[d]))))
+    return cells
+
+
+@pytest.mark.parametrize("command, cfg, cells", [
+    ("stability-map", {"k": 3, "rho": 0.0, "re_min": 0.0, "re_max": 100.0,
+                       "im_min": -100.0, "im_max": 100.0, "resolution": 41}, _map_cells),
+    # the pole at theta = -2: a nan cell
+    ("stability-map", {"k": 1, "rho": 1.0, "re_min": -4.0, "re_max": 0.0,
+                       "im_min": -1.0, "im_max": 1.0, "resolution": 9}, _map_cells),
+    # three output times, the last one off the output_every grid
+    ("solve", {"problem": "heat", "k": 2, "rho": 0.5, "elements": 8, "tau": 0.125,
+               "steps": 6, "output_every": 4}, _heat_solve_cells),
+], ids=["map", "map-pole", "solve-heat"])
+def test_float_rows_match_cellwise_formatting(tmp_path, command, cfg, cells):
     # the chunked float writer gives the bytes of one _fmt call per cell
-    out = tmp_path / "map.csv"
-    assert run_cli(tmp_path, "stability-map", extra=[
-        "--k", k, "--rho", rho, "--re-min", re[0], "--re-max", re[1], "--im-min", im[0],
-        "--im-max", im[1], "--resolution", res, "--out", out]) == 0
-    region = galpha.stability_region(params_from_rho([rho] * k), re, im, res)
-    expected = [",".join(cli._fmt(v) for v in (x, y, region.rho[i, j]))
-                for i, x in enumerate(region.re) for j, y in enumerate(region.im)]
+    out = tmp_path / "out.csv"
+    assert run_cli(tmp_path, command, extra=[*_flags(cfg), "--out", out]) == 0
+    expected = [",".join(cli._fmt(v) for v in row) for row in cells(cfg)]
     _, rows, _ = read_table(out)
     assert [",".join(row) for row in rows] == expected
-    assert any("nan" in line for line in expected) == (re[0] < 0)
+    if command == "stability-map":
+        assert any("nan" in line for line in expected) == (cfg["re_min"] < 0)
+    else:
+        assert len({row[0] for row in rows}) == 3
+
+
+# per command: a base config, and for every key of its option table a value
+# that differs from the default (case has one value only); a rho list matches
+# the base k, and a k works with the base's scalar rho
+PARITY = {
+    "spectrum": ({"k": 2, "rho": 0.5, "theta_points": 5},
+                 {"k": 3, "rho": [0.8, 0.2], "theta_min": 0.01, "theta_max": 1e4,
+                  "theta_points": 7}),
+    "stability-map": ({"k": 2, "rho": 0.5, "resolution": 5},
+                      {"k": 1, "rho": [1.0, 0.2], "re_min": -1.5, "re_max": 3.0,
+                       "im_min": -2.0, "im_max": 4.0, "resolution": [4, 3]}),
+    "converge": ({"k": 2, "rho": 0.5, "tau_max": 0.25},
+                 {"k": 1, "rho": [0.3, 0.6], "problem": "heat", "lambda_theta": 2.5,
+                  "T": 0.5, "tau_max": 0.125, "halvings": 5, "elements": 16, "kappa": 0.5,
+                  "case": "sin-decay"}),
+    "order-check": ({"k_list": [1]},
+                    {"k_list": [2, 1], "rho": 0.25, "perturb_gamma": 0.01}),
+    "solve": ({"k": 2, "rho": 0.5, "tau": 0.25, "steps": 4},
+              {"k": 1, "rho": [0.3, 0.6], "problem": "heat", "lambda_theta": 2.5,
+               "tau": 0.125, "steps": 6, "output_every": 2, "elements": 8, "kappa": 0.5,
+               "case": "sin-decay", "m_max": 5, "u0": -2.0}),
+}
+HEAT_KEYS = ("elements", "kappa", "case")
+
+
+def test_parity_cases_cover_every_option():
+    assert {cmd: set(values) for cmd, (_, values) in PARITY.items()} == \
+        {cmd: {key for key, _, _ in table} for cmd, table in cli.OPTIONS.items()}
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, (_, values) in PARITY.items() for key in values])
+def test_flag_and_config_give_the_same_csv(tmp_path, command, key):
+    base, values = PARITY[command]
+    if key in HEAT_KEYS:
+        base = dict(base, problem="heat")
+    by_flag, by_file = tmp_path / "flag.csv", tmp_path / "file.csv"
+    assert run_cli(tmp_path, command, cfg=base,
+                   extra=[*_flags({key: values[key]}), "--out", by_flag]) == 0
+    assert run_cli(tmp_path, command, cfg=dict(base, **{key: values[key]}),
+                   extra=["--out", by_file]) == 0
+    assert by_flag.read_bytes() == by_file.read_bytes()
+
+
+@pytest.mark.parametrize("command, cfg, extra, names", [
+    ("spectrum", {"k": 2, "rho": 0.5, "thetamax": 5}, [], "'thetamax'"),
+    ("spectrum", {"k": "abc", "rho": 0.5}, [], "k: "),
+    ("spectrum", {"k": [2], "rho": 0.5}, [], "k: "),
+    ("spectrum", {"k": 2, "rho": [0.5, "x"]}, [], "rho: "),
+    ("order-check", {"k_list": 3}, [], "k_list: "),
+    ("spectrum", {"k": 2, "rho": 0.5, "theta_points": 1.7}, [], "theta_points: "),
+    ("order-check", None, ["--k", 3], "--k"),
+    ("spectrum", None, ["--k", 2, "--rho", 0.5, "--theta", 5], "--theta"),
+    ("stability-map", {"k": 1, "rho": 1, "resolution": [9]}, [], "resolution"),
+    ("stability-map", {"k": 1, "rho": 1, "resolution": [3, 3, 3]}, [], "resolution"),
+    ("stability-map", {"k": 1, "rho": 1, "resolution": 2.5}, [], "resolution: "),
+    ("stability-map", {"k": 1, "rho": 1}, ["--resolution", "3,3,3"], "resolution"),
+], ids=["unknown-key", "k-text", "k-list", "rho-entry", "k_list-number", "fractional-count",
+        "order-check-k-flag", "abbreviated-flag", "resolution-one", "resolution-three",
+        "resolution-fraction", "resolution-three-flag"])
+def test_bad_input_exits_two_with_one_line(tmp_path, capsys, command, cfg, extra, names):
+    out = tmp_path / "out.csv"
+    assert run_cli(tmp_path, command, cfg=cfg, extra=[*extra, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert names in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli.OPTIONS))
+def test_help_lists_exactly_the_table_flags(capsys, command):
+    # order-check reads no k, so it has no --k
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    assert flags == {"--help", "--config", "--out", "--svg"} | {
+        "--" + key.replace("_", "-") for key, _, _ in cli.OPTIONS[command]}
+
+
+def test_null_config_value_is_unset(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli(tmp_path, "order-check", cfg={"k_list": [1], "perturb_gamma": None},
+                   extra=["--out", a]) == 0
+    assert run_cli(tmp_path, "order-check", cfg={"k_list": [1]}, extra=["--out", b]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert run_cli(tmp_path, "solve", cfg={"k": None, "rho": 1, "tau": 0.1, "steps": 2}) == 2
+    assert "'k' is required" in capsys.readouterr().err
+
+
+def test_readme_command_table_names_every_option():
+    rows = {}
+    for line in README.read_text().splitlines():
+        m = re.match(r"\| `([a-z-]+)` \| [^|]* \| (.*) \|$", line)
+        if m:
+            rows[m.group(1)] = set(re.findall(r"`(\w+)`", m.group(2)))
+    assert rows == {cmd: {key for key, _, _ in table} for cmd, table in cli.OPTIONS.items()}

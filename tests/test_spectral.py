@@ -240,7 +240,8 @@ def test_stability_region_validation():
         stability_region(prm, (1.0, 0.0), (0.0, 1.0), 3)
     with pytest.raises(ConfigurationError, match="degenerate"):
         stability_region(prm, (0.0, 1.0), (0.0, 1.0), (1, 3))
-    for bad in (np.inf, np.nan, (3, np.inf)):
+    # one count or a pair of exactly two whole counts
+    for bad in (np.inf, np.nan, (3, np.inf), [9], [3, 3, 3], 2.5, (9, 1.5), "9"):
         with pytest.raises(ConfigurationError, match="finite count"):
             stability_region(prm, (0.0, 1.0), (0.0, 1.0), bad)
 
