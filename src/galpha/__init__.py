@@ -11,6 +11,7 @@ order checks.
 from .cayley import (
     BELL_CLOSED_FORMS,
     CharPolyCoeffs,
+    ConditionCheck,
     OrderConditionReport,
     PowerSums,
     SlopeFit,
@@ -25,7 +26,6 @@ from .exceptions import ConfigurationError, GalphaError, LinearSolveError, PoleE
 from .integrator import StateVector, StepWorkspace, init_state, integrate, step
 from .params import (
     MethodParams,
-    RhoSpectrum,
     StabilityReport,
     params_from_rho,
     validate_stability,
@@ -56,6 +56,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AmplificationMatrix",
     "CharPolyCoeffs",
+    "ConditionCheck",
     "ConfigurationError",
     "GalphaError",
     "LinearSolveError",
@@ -64,7 +65,6 @@ __all__ = [
     "OrderConditionReport",
     "PoleError",
     "PowerSums",
-    "RhoSpectrum",
     "SemiDiscreteSystem",
     "SlopeFit",
     "StabilityMap",

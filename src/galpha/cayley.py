@@ -24,6 +24,7 @@ import numpy as np
 from .exceptions import ConfigurationError, PoleError
 
 __all__ = [
+    "BELL_CLOSED_FORMS",
     "PowerSums",
     "CharPolyCoeffs",
     "ConditionCheck",

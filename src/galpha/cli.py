@@ -4,9 +4,11 @@ Usage: galpha <command> --config <file.json> [--out <path>] [--svg] [overrides]
 
 Commands: spectrum, stability-map, converge, order-check, solve. A command's
 options are the rows of its OPTIONS table: each key is a config-file key and,
-with dashes, a flag; flags override the file. All output is deterministic CSV with a header row, %.17g numbers, and trailing
-'# key = value' comment lines for summaries. Exit codes: 0 success, 1
-numerical failure (a non-finite march included), 2 configuration error.
+with dashes, a flag; flags override the file. --svg belongs to the four
+commands that plot, not to order-check. All output is deterministic CSV with
+a header row, %.17g numbers, and trailing '# key = value' comment lines for
+summaries. Exit codes: 0 success, 1 numerical failure (a non-finite march
+included), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .cayley import fit_slope, recurrence_residual, verify_order_conditions
 from .exceptions import ConfigurationError, GalphaError, LinearSolveError, PoleError
 from .integrator import integrate
-from .params import RhoSpectrum, params_from_rho
+from .params import params_from_rho
 from .problems import l2_error, manufactured_heat, scalar_mode
 from .spectral import check_range, stability_region, sweep_spectral_radius
 
@@ -199,12 +201,20 @@ def _one_or_list(cast):
     return one_or_list
 
 
-def _int_list(v):
-    return [_int(p) for p in _items(v)]
+def _stage_count(v):
+    """A stage count k >= 1."""
+    k = _int(v)
+    if k < 1:
+        raise ValueError("stage count k must be >= 1, got %d" % k)
+    return k
+
+
+def _stage_counts(v):
+    return [_stage_count(p) for p in _items(v)]
 
 
 _rho = _one_or_list(float)
-_K = ("k", _int, REQUIRED)
+_K = ("k", _stage_count, REQUIRED)
 _RHO = ("rho", _rho, REQUIRED)
 _PROBLEM = (("problem", str, "scalar"), ("lambda_theta", float, 1.0),
             ("kappa", float, 1.0), ("case", str, "sin-decay"))
@@ -216,7 +226,7 @@ OPTIONS = {
                       ("resolution", _one_or_list(_int), 21)),
     "converge": (_K, _RHO, *_PROBLEM, ("T", float, 1.0), ("tau_max", float, 0.5),
                  ("halvings", _int, 4), ("elements", _int, 256)),
-    "order-check": (("k_list", _int_list, (1, 2, 3)), ("rho", _rho, 0.5),
+    "order-check": (("k_list", _stage_counts, (1, 2, 3)), ("rho", _rho, 0.5),
                     ("perturb_gamma", float, 0.0)),
     "solve": (_K, _RHO, *_PROBLEM, ("tau", float, REQUIRED), ("steps", _int, REQUIRED),
               ("output_every", _int, 1), ("elements", _int, 64), ("m_max", _int, None),
@@ -262,14 +272,10 @@ def _load_config(args):
 def _cfg_params(cfg):
     k, rho = cfg["k"], cfg["rho"]
     if isinstance(rho, float):
-        spectrum = RhoSpectrum.uniform(rho, k)
-    else:
-        spectrum = RhoSpectrum(tuple(rho))
-        if spectrum.k != k:
-            raise ConfigurationError(
-                "rho list has %d entries but k = %d" % (spectrum.k, k)
-            )
-    return params_from_rho(spectrum)
+        rho = [rho] * k
+    elif len(rho) != k:
+        raise ConfigurationError("rho list has %d entries but k = %d" % (len(rho), k))
+    return params_from_rho(rho)
 
 
 def _problem(problem, lambda_theta, elements, kappa, case, u0=1.0, m_max=None, **_):
@@ -425,7 +431,7 @@ def cmd_order_check(args):
     degraded = False
     taus = ORDER_CHECK_TAUS
     for k in cfg["k_list"]:
-        prm = params_from_rho(RhoSpectrum.uniform(rho, k))
+        prm = params_from_rho([rho] * k)
         report = verify_order_conditions(prm)
         res = [recurrence_residual(prm, 1.0, t) for t in taus]
         fit = fit_slope(taus, res, scale=0.0)
@@ -454,8 +460,6 @@ def cmd_solve(args):
     svg = _svg_path(args)
     prm = _cfg_params(cfg)
     tau, steps, every = cfg["tau"], cfg["steps"], cfg["output_every"]
-    if steps < 0:
-        raise ConfigurationError("steps must be >= 0, got %d" % steps)
     if every < 1:
         raise ConfigurationError("output_every must be >= 1, got %d" % every)
     system, x, U0, exact, error = _problem(**cfg)
@@ -497,17 +501,19 @@ def _build_parser():
         description="k-stage generalized-alpha time integration and spectral analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, help_text in (
-        ("spectrum", cmd_spectrum, "spectral radius over a positive theta grid"),
-        ("stability-map", cmd_stability_map, "spectral radius over complex theta"),
-        ("converge", cmd_converge, "global-order sweep with tau halvings"),
-        ("order-check", cmd_order_check, "recurrence-residual slopes and order conditions"),
-        ("solve", cmd_solve, "single run, CSV trajectory"),
+    for name, func, plots, help_text in (
+        ("spectrum", cmd_spectrum, True, "spectral radius over a positive theta grid"),
+        ("stability-map", cmd_stability_map, True, "spectral radius over complex theta"),
+        ("converge", cmd_converge, True, "global-order sweep with tau halvings"),
+        ("order-check", cmd_order_check, False,
+         "recurrence-residual slopes and order conditions"),
+        ("solve", cmd_solve, True, "single run, CSV trajectory"),
     ):
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output CSV path (default: stdout)")
-        p.add_argument("--svg", action="store_true", help="also write a plot next to --out")
+        if plots:
+            p.add_argument("--svg", action="store_true", help="also write a plot next to --out")
         for key, _, _ in OPTIONS[name]:
             p.add_argument("--" + key.replace("_", "-"), dest=key)
         p.set_defaults(func=func)

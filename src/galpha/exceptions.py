@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["GalphaError", "ConfigurationError", "PoleError", "LinearSolveError"]
+
 
 class GalphaError(Exception):
     """Base class for all errors raised by this package."""

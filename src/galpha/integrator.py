@@ -6,6 +6,11 @@ from Taylor predictors of the time-n state, and the last stage solves
 t_n + alpha_f tau. Stages are mutually decoupled; they are processed in
 descending order only for determinism. State entries are stored scaled,
 block m holding tau^m u^(m), which makes every update dimensionless.
+
+StepWorkspace.build(system, params, tau) factors the k stage matrices once and
+keeps the system, the params and tau with them; step(state, t_n, ws) reads all
+three from the workspace, so a march cannot be stepped with facts other than
+the ones its factors were built from. integrate drives the two for a whole run.
 """
 
 from __future__ import annotations
@@ -129,14 +134,15 @@ def _check_tau(tau, k):
 
 @dataclass
 class StepWorkspace:
-    """Factorizations of the k stage matrices for a fixed (system, params, tau)."""
+    """A march's fixed facts, (system, params, tau), and the factorizations of
+    the k stage matrices they give."""
 
+    system: object
     params: object
     tau: float
-    n: int
     factors: list
     inv_fact: tuple  # 1/i! for the Taylor predictors, i = 0..2k-1
-    n_factorizations: int = 0
+    n_factorizations: int
 
     @classmethod
     def build(cls, system, params, tau):
@@ -145,17 +151,12 @@ class StepWorkspace:
             raise ConfigurationError(
                 "parameters violate the stability bounds: " + "; ".join(report.violations)
             )
-        k = params.k
-        _check_tau(tau, k)
-        ws = cls(params=params, tau=float(tau), n=system.n, factors=[],
-                 inv_fact=tuple(1.0 / factorial(i) for i in range(2 * k)))
-        for a, g, c, _ in params._stages:
-            ws.factors.append(_Factorization(system.M.combine(a, system.K, g * tau * c)))
-            ws.n_factorizations += 1
-        return ws
-
-    def matches(self, params, tau, n):
-        return self.params == params and self.tau == tau and self.n == n
+        _check_tau(tau, params.k)
+        factors = [_Factorization(system.M.combine(a, system.K, g * tau * c))
+                   for a, g, c, _ in params._stages]
+        return cls(system=system, params=params, tau=float(tau), factors=factors,
+                   inv_fact=tuple(1.0 / factorial(i) for i in range(2 * params.k)),
+                   n_factorizations=len(factors))
 
 
 def init_state(system, U0, k, tau, t0=0.0):
@@ -194,16 +195,14 @@ def init_state(system, U0, k, tau, t0=0.0):
     return StateVector(k=k, tau=float(tau), data=data)
 
 
-def step(state, system, params, t_n, tau, ws):
-    """Advance the state from t_n to t_n + tau."""
+def step(state, t_n, ws):
+    """Advance the state from t_n to t_n + tau by the march that ws holds."""
+    system, params, tau = ws.system, ws.params, ws.tau
     k = params.k
-    if state.k != k:
-        raise ConfigurationError("state has k = %d, params have k = %d" % (state.k, k))
-    if not ws.matches(params, tau, system.n):
-        raise ConfigurationError("workspace does not match (params, tau, system)")
-    if state.tau != tau:
+    if (state.k, state.n, state.tau) != (k, system.n, tau):
         raise ConfigurationError(
-            "state was scaled with tau = %r, step called with tau = %r" % (state.tau, tau)
+            "state (k, n, tau) = (%d, %d, %r) does not fit the workspace's (%d, %d, %r)"
+            % (state.k, state.n, state.tau, k, system.n, tau)
         )
     W = state.data
     M, K = system.M, system.K
@@ -231,7 +230,7 @@ def step(state, system, params, t_n, tau, ws):
             d = ws.factors[j - 1].solve(rhs)
             new[e] = W[e] + W[o] + g * d
             new[o] = W[o] + d
-    return StateVector(k=k, tau=float(tau), data=new)
+    return StateVector(k=k, tau=tau, data=new)
 
 
 def integrate(system, U0, params, tau, n_steps, t0=0.0):
@@ -249,7 +248,7 @@ def integrate(system, U0, params, tau, n_steps, t0=0.0):
         if n_steps > 0:
             ws = StepWorkspace.build(system, params, tau)
             for i in range(int(n_steps)):
-                state = step(state, system, params, t0 + i * tau, tau, ws)
+                state = step(state, t0 + i * tau, ws)
                 trajectory.append(state)
     if not np.all(np.isfinite(state.data)):
         raise GalphaError("the march overflows: the state after %d steps of tau = %g "

@@ -19,41 +19,11 @@ from functools import cached_property
 from .exceptions import ConfigurationError
 
 __all__ = [
-    "RhoSpectrum",
     "MethodParams",
     "StabilityReport",
     "params_from_rho",
     "validate_stability",
 ]
-
-
-@dataclass(frozen=True)
-class RhoSpectrum:
-    """Per-stage high-frequency dissipation targets rho_1 ... rho_k."""
-
-    values: tuple
-
-    def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", values)
-        if len(values) < 1:
-            raise ConfigurationError("stage count k must be >= 1, got an empty rho list")
-        for i, v in enumerate(values):
-            if not (0.0 <= v <= 1.0):
-                raise ConfigurationError(
-                    "rho[%d] = %r lies outside [0, 1]" % (i, v)
-                )
-
-    @classmethod
-    def uniform(cls, rho, k):
-        """Broadcast a single scalar control to all k stages."""
-        if k < 1:
-            raise ConfigurationError("stage count k must be >= 1, got %r" % (k,))
-        return cls((float(rho),) * int(k))
-
-    @property
-    def k(self):
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -123,27 +93,23 @@ class StabilityReport:
 def params_from_rho(rho):
     """Map dissipation controls to method coefficients.
 
-    rho may be a RhoSpectrum or any sequence of k values in [0, 1]. Stages
+    rho is a sequence of k >= 1 values in [0, 1], one per stage. Stages
     j < k use alpha_j = (3 + rho_j) / (2 (1 + rho_j)); the last stage uses
     alpha_k = (3 - rho_k) / (2 (1 + rho_k)) together with
     alpha_f = 1 / (1 + rho_k). For k = 1 the single stage is the last stage.
     """
-    if not isinstance(rho, RhoSpectrum):
-        rho = RhoSpectrum(tuple(rho))
-    k = rho.k
-    alpha = []
-    gamma = []
-    for j, r in enumerate(rho.values):
-        if j < k - 1:
-            a = (3.0 + r) / (2.0 * (1.0 + r))
-            g = a - 0.5
-        else:
-            a = (3.0 - r) / (2.0 * (1.0 + r))
-            g = 1.0 / (1.0 + r)
-        alpha.append(a)
-        gamma.append(g)
-    alpha_f = 1.0 / (1.0 + rho.values[-1])
-    return MethodParams(k, tuple(alpha), alpha_f, tuple(gamma))
+    rho = [float(r) for r in rho]
+    if not rho:
+        raise ConfigurationError("stage count k must be >= 1, got an empty rho list")
+    for j, r in enumerate(rho):
+        if not 0.0 <= r <= 1.0:
+            raise ConfigurationError("rho[%d] = %r lies outside [0, 1]" % (j, r))
+    *first, last = rho
+    alpha = [(3.0 + r) / (2.0 * (1.0 + r)) for r in first]
+    gamma = [a - 0.5 for a in alpha]
+    alpha.append((3.0 - last) / (2.0 * (1.0 + last)))
+    gamma.append(1.0 / (1.0 + last))
+    return MethodParams(len(rho), tuple(alpha), 1.0 / (1.0 + last), tuple(gamma))
 
 
 def validate_stability(params):

@@ -172,7 +172,7 @@ def test_criterion_06_stepper_matches_matrix_powers():
         G = amplification_matrix(prm, theta).dense.real
         v = state.data[:, 0].copy()
         for i in range(10):
-            state = step(state, system, prm, i * theta, theta, ws)
+            state = step(state, i * theta, ws)
             v = G @ v
             scale = max(1.0, float(np.max(np.abs(v))))
             worst = max(worst, float(np.max(np.abs(state.data[:, 0] - v))) / scale)

@@ -687,9 +687,15 @@ def test_flag_and_config_give_the_same_csv(tmp_path, command, key):
     ("stability-map", {"k": 1, "rho": 1, "resolution": [3, 3, 3]}, [], "resolution"),
     ("stability-map", {"k": 1, "rho": 1, "resolution": 2.5}, [], "resolution: "),
     ("stability-map", {"k": 1, "rho": 1}, ["--resolution", "3,3,3"], "resolution"),
+    ("spectrum", None, ["--k", 0, "--rho", 0.5], "k: stage count k must be >= 1, got 0"),
+    ("order-check", None, ["--k-list", "1,0"], "k_list: stage count k must be >= 1, got 0"),
+    ("solve", None, ["--k", 1, "--rho", 0.5, "--tau", 0.1, "--steps", -1],
+     "n_steps must be >= 0, got -1"),
+    ("order-check", None, ["--k-list", 1, "--svg"], "--svg"),
 ], ids=["unknown-key", "k-text", "k-list", "rho-entry", "k_list-number", "fractional-count",
         "order-check-k-flag", "abbreviated-flag", "resolution-one", "resolution-three",
-        "resolution-fraction", "resolution-three-flag"])
+        "resolution-fraction", "resolution-three-flag", "k-zero", "k_list-zero",
+        "negative-steps", "order-check-svg"])
 def test_bad_input_exits_two_with_one_line(tmp_path, capsys, command, cfg, extra, names):
     out = tmp_path / "out.csv"
     assert run_cli(tmp_path, command, cfg=cfg, extra=[*extra, "--out", out]) == 2
@@ -702,11 +708,12 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys, command, cfg, extra
 
 @pytest.mark.parametrize("command", sorted(cli.OPTIONS))
 def test_help_lists_exactly_the_table_flags(capsys, command):
-    # order-check reads no k, so it has no --k
+    # order-check reads no k, so it has no --k; it plots nothing, so it has no --svg
     with pytest.raises(SystemExit):
         cli.main([command, "--help"])
     flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
-    assert flags == {"--help", "--config", "--out", "--svg"} | {
+    plots = {"--svg"} if command != "order-check" else set()
+    assert flags == {"--help", "--config", "--out"} | plots | {
         "--" + key.replace("_", "-") for key, _, _ in cli.OPTIONS[command]}
 
 

@@ -124,7 +124,7 @@ def test_single_step_is_trapezoidal_for_rho_one():
     tau = 0.1
     state = init_state(system, np.array([1.0]), k=1, tau=tau)
     ws = StepWorkspace.build(system, prm, tau)
-    out = step(state, system, prm, 0.0, tau, ws)
+    out = step(state, 0.0, ws)
     r = (1.0 - tau / 2.0) / (1.0 + tau / 2.0)
     assert abs(out.u[0] - r) <= 1e-15
 
@@ -145,7 +145,7 @@ def test_step_equals_amplification_matrix_action():
     v = np.array([1.0, -0.5, 0.25, -0.125])
     state = StateVector(k=2, tau=tau, data=v[:, None])
     ws = StepWorkspace.build(system, prm, tau)
-    out = step(state, system, prm, 0.0, tau, ws)
+    out = step(state, 0.0, ws)
     expected = amplification_matrix(prm, tau).dense.real @ v
     np.testing.assert_allclose(out.data[:, 0], expected, rtol=1e-13, atol=0)
 
@@ -159,7 +159,7 @@ def test_step_equals_amplification_matrix_action_at_high_stage_counts(k):
         tau = 10.0 ** rng.uniform(-3.0, 3.0)
         v = rng.standard_normal(2 * k)
         state = StateVector(k=k, tau=tau, data=v[:, None])
-        out = step(state, system, prm, 0.0, tau, StepWorkspace.build(system, prm, tau))
+        out = step(state, 0.0, StepWorkspace.build(system, prm, tau))
         expected = amplification_matrix(prm, tau).dense.real @ v
         scale = max(1.0, float(np.max(np.abs(expected))))
         assert np.max(np.abs(out.data[:, 0] - expected)) <= 1e-12 * scale
@@ -177,7 +177,7 @@ def test_stepper_equals_matrix_powers():
         G = amplification_matrix(prm, theta).dense.real
         v = state.data[:, 0].copy()
         for i in range(10):
-            state = step(state, system, prm, i * theta, theta, ws)
+            state = step(state, i * theta, ws)
             v = G @ v
             scale = max(1.0, np.max(np.abs(v)))
             assert np.max(np.abs(state.data[:, 0] - v)) <= 1e-12 * scale
@@ -214,7 +214,7 @@ def test_unconditionally_stable_at_huge_theta():
         ws = StepWorkspace.build(system, prm, tau)
         mags = [1.0]
         for i in range(20):
-            state = step(state, system, prm, i * tau, tau, ws)
+            state = step(state, i * tau, ws)
             mags.append(abs(state.u[0]))
         assert max(mags) == 1.0
         assert mags[1] <= 1e-3
@@ -228,26 +228,17 @@ def test_workspace_counts_factorizations():
     prm = params_from_rho([0.5, 0.5, 0.5])
     ws = StepWorkspace.build(system, prm, 0.1)
     assert ws.n_factorizations == 3
-    assert ws.matches(prm, 0.1, 1)
-    assert not ws.matches(prm, 0.2, 1)
+    assert ws.system is system and ws.params == prm and ws.tau == 0.1
 
 
-def test_workspace_mismatch_rejected():
-    system = scalar_mode(1.0)
-    prm = params_from_rho([0.5])
-    state = init_state(system, np.array([1.0]), k=1, tau=0.1)
-    ws = StepWorkspace.build(system, prm, 0.2)
-    with pytest.raises(ConfigurationError, match="workspace"):
-        step(state, system, prm, 0.0, 0.1, ws)
-
-
-def test_state_tau_mismatch_rejected():
-    system = scalar_mode(1.0)
-    prm = params_from_rho([0.5])
-    state = init_state(system, np.array([1.0]), k=1, tau=0.1)
-    ws = StepWorkspace.build(system, prm, 0.2)
-    with pytest.raises(ConfigurationError, match="scaled with tau"):
-        step(state, system, prm, 0.0, 0.2, ws)
+@pytest.mark.parametrize("k, n, tau", [(2, 1, 0.1), (1, 2, 0.1), (1, 1, 0.2)],
+                         ids=["k", "n", "tau"])
+def test_state_misfitting_the_workspace_rejected(k, n, tau):
+    # the workspace is built for k = 1, n = 1 and tau = 0.1; the state misses one
+    ws = StepWorkspace.build(scalar_mode(1.0), params_from_rho([0.5]), 0.1)
+    state = StateVector(k=k, tau=tau, data=np.ones((2 * k, n)))
+    with pytest.raises(ConfigurationError, match="does not fit the workspace"):
+        step(state, 0.0, ws)
 
 
 def test_workspace_rejects_invalid_params():
@@ -333,7 +324,7 @@ def test_banded_step_matches_dense_stage_equations(k):
     tau = 0.05
     W = rng.standard_normal((2 * k, system.n))
     ws = StepWorkspace.build(system, prm, tau)
-    out = step(StateVector(k=k, tau=tau, data=W), system, prm, 0.3, tau, ws)
+    out = step(StateVector(k=k, tau=tau, data=W), 0.3, ws)
     ref = _dense_step(W, system, prm, 0.3, tau)
     assert np.max(np.abs(out.data - ref)) <= 1e-13 * np.max(np.abs(ref))
 

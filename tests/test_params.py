@@ -6,7 +6,6 @@ import pytest
 from galpha import (
     ConfigurationError,
     MethodParams,
-    RhoSpectrum,
     params_from_rho,
     validate_stability,
 )
@@ -66,28 +65,24 @@ def test_bounds_hold_across_the_whole_control_range():
             assert report.ok, report.violations
 
 
-def test_rho_spectrum_uniform():
-    controls = RhoSpectrum.uniform(0.5, 3)
-    assert controls.k == 3
-    assert controls.values == (0.5, 0.5, 0.5)
-    prm = params_from_rho(controls)
-    assert prm.k == 3
-
-
 def test_params_accepts_plain_sequence():
-    assert params_from_rho([0.5, 0.5]) == params_from_rho(RhoSpectrum((0.5, 0.5)))
+    ref = params_from_rho([0.5, 0.25])
+    assert params_from_rho((0.5, 0.25)) == ref
+    assert params_from_rho(np.array([0.5, 0.25])) == ref
+    assert params_from_rho(iter([0.5, 0.25])) == ref
 
 
 def test_empty_rho_rejected():
-    with pytest.raises(ConfigurationError, match="k must be >= 1"):
-        RhoSpectrum(())
+    with pytest.raises(ConfigurationError,
+                       match="stage count k must be >= 1, got an empty rho list"):
+        params_from_rho([])
 
 
 def test_rho_out_of_range_names_the_offender():
-    with pytest.raises(ConfigurationError, match=r"rho\[1\] = 1.2"):
-        RhoSpectrum((0.5, 1.2))
+    with pytest.raises(ConfigurationError, match=r"rho\[1\] = 1.5 lies outside \[0, 1\]"):
+        params_from_rho([0.5, 1.5])
     with pytest.raises(ConfigurationError, match=r"rho\[0\]"):
-        RhoSpectrum((-0.1,))
+        params_from_rho((-0.1,))
 
 
 def test_violation_strings_name_each_bound():
