@@ -201,8 +201,9 @@ def step(state, t_n, ws):
     k = params.k
     if (state.k, state.n, state.tau) != (k, system.n, tau):
         raise ConfigurationError(
-            "state (k, n, tau) = (%d, %d, %r) does not fit the workspace's (%d, %d, %r)"
-            % (state.k, state.n, state.tau, k, system.n, tau)
+            "state (k, n, tau) = (%d, %d, %r) does not fit the workspace's (%d, %d, %r)%s"
+            % (state.k, state.n, state.tau, k, system.n, tau,
+               "; a state scaled with tau steps only with that tau" if state.tau != tau else "")
         )
     W = state.data
     M, K = system.M, system.K

@@ -241,6 +241,24 @@ def test_state_misfitting_the_workspace_rejected(k, n, tau):
         step(state, 0.0, ws)
 
 
+def test_workspace_mismatch_rejected():
+    system = scalar_mode(1.0)
+    prm = params_from_rho([0.5])
+    state = init_state(system, np.array([1.0]), k=1, tau=0.1)
+    ws = StepWorkspace.build(system, prm, 0.2)
+    with pytest.raises(ConfigurationError, match="workspace"):
+        step(state, 0.0, ws)
+
+
+def test_state_tau_mismatch_rejected():
+    system = scalar_mode(1.0)
+    prm = params_from_rho([0.5])
+    state = init_state(system, np.array([1.0]), k=1, tau=0.1)
+    ws = StepWorkspace.build(system, prm, 0.2)
+    with pytest.raises(ConfigurationError, match="scaled with tau"):
+        step(state, 0.0, ws)
+
+
 def test_workspace_rejects_invalid_params():
     bad = MethodParams(1, (0.4,), 0.45, (0.5,))
     with pytest.raises(ConfigurationError, match="stability bounds"):
