@@ -70,7 +70,8 @@ def _flapack():
     """scipy's compiled LAPACK wrapper module, loaded once per process.
 
     Importing scipy.linalg runs its package init (about 0.3 s and 25 MiB of
-    array-API imports) for the two routines used here, dpbtrf and dpbtrs.
+    array-API imports) for the four routines used here: dpttrf/dpttrs for
+    tridiagonal matrices, dpbtrf/dpbtrs for wider bands.
     A plain import of scipy sets up the wheel's shared-library search path;
     the extension module scipy/linalg/_flapack is then loaded straight from
     its file and kept out of sys.modules, so a later import of scipy.linalg
@@ -95,20 +96,34 @@ def _flapack():
 
 
 class _Factorization:
-    """Banded Cholesky factor of one SPD matrix in SymmetricBanded storage.
+    """Factorization of one SPD matrix in SymmetricBanded storage, chosen by
+    its half-bandwidth u.
 
-    LAPACK dpbtrf/dpbtrs come from _flapack on the first factorization, not
-    with the package, and scipy.linalg is never imported: the analysis
-    commands never factor a matrix, and converge and solve skip the
-    scipy.linalg package init.
+    u <= 1 (every heat stage matrix, the scalar mode, the FEM mass) is
+    factored A = L D L^T by LAPACK dpttrf and solved by dpttrs; u >= 2 is
+    factored by banded Cholesky, dpbtrf and dpbtrs. factors holds the arrays
+    the solve routine takes before the right-hand side: (d, e) for dpttrs,
+    (ab,) for dpbtrs. The routines come from _flapack on the first
+    factorization, not with the package, and scipy.linalg is never imported:
+    the analysis commands never factor a matrix, and converge and solve skip
+    the scipy.linalg package init.
     """
 
     def __init__(self, A):
         lib = _flapack()
         if not np.all(np.isfinite(A.ab)):
             raise LinearSolveError("stage matrix has non-finite entries")
-        self._dpbtrs = lib.dpbtrs
-        self.fac, info = lib.dpbtrf(A.ab, lower=0)
+        if A.u <= 1:
+            # dpttrf's wrapper wants len(e) = n - 1, but at least 1 (unread at n = 1)
+            e = np.zeros(max(A.n - 1, 1))
+            if A.u:
+                e[:A.n - 1] = A.ab[0, 1:]
+            *self.factors, info = lib.dpttrf(A.ab[A.u], e, overwrite_e=1)
+            self._solve = lib.dpttrs
+        else:
+            fac, info = lib.dpbtrf(A.ab, lower=0)
+            self.factors = [fac]
+            self._solve = lib.dpbtrs  # lower=0 by default: upper band storage
         if info != 0:
             raise LinearSolveError(
                 "stage matrix factorization failed: leading minor %d is not "
@@ -116,7 +131,7 @@ class _Factorization:
             )
 
     def solve(self, rhs):
-        return self._dpbtrs(self.fac, rhs, lower=0)[0]
+        return self._solve(*self.factors, rhs)[0]
 
 
 def _check_tau(tau, k):
@@ -241,6 +256,12 @@ def integrate(system, U0, params, tau, n_steps, t0=0.0):
     is linear, so once an entry overflows it never turns finite again: one
     check of the last state raises GalphaError for the whole run.
     """
+    try:
+        whole = int(n_steps) == n_steps
+    except (TypeError, ValueError, OverflowError):  # "3", nan, inf
+        whole = False
+    if not whole:
+        raise ConfigurationError("n_steps must be a whole number, got %r" % (n_steps,))
     if n_steps < 0:
         raise ConfigurationError("n_steps must be >= 0, got %r" % (n_steps,))
     with np.errstate(over="ignore", invalid="ignore"):

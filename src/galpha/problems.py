@@ -31,7 +31,8 @@ class SymmetricBanded:
 
     ab has shape (u + 1, n) for half-bandwidth u: row u holds the diagonal
     and row u - d the d-th superdiagonal, ab[u - d, j] = A[j - d, j], with
-    its first d entries unused. This is the layout LAPACK's pbtrf/pbtrs read.
+    its first d entries unused. This is the layout LAPACK's pbtrf/pbtrs read;
+    at u <= 1 row u and ab[0, 1:] are the d and e that pttrf reads.
     A @ x of a vector costs O(u n); toarray() builds the dense matrix for
     oracles.
     """

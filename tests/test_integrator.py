@@ -96,10 +96,15 @@ def test_tau_whose_top_power_overflows_rejected(tau):
     assert init_state(system, np.array([1.0]), k=1, tau=tau).tau == 1e200
 
 
+def _pentadiagonal(n):
+    """The SPD Toeplitz band [1, -4, 6, -4, 1]: half-bandwidth 2."""
+    return 6.0 * np.eye(n) + sum(c * (np.eye(n, k=d) + np.eye(n, k=-d))
+                                 for d, c in ((1, -4.0), (2, 1.0)))
+
+
 def test_init_state_solves_with_a_pentadiagonal_mass():
     # u = 2: the banded Cholesky path beyond the tridiagonal FEM matrices
-    M = (np.diag(np.full(6, 6.0)) + np.diag(np.full(5, -4.0), 1) + np.diag(np.full(5, -4.0), -1)
-         + np.diag(np.full(4, 1.0), 2) + np.diag(np.full(4, 1.0), -2))
+    M = _pentadiagonal(6)
     K = np.diag(np.arange(1.0, 7.0))
     system = SemiDiscreteSystem(n=6, M=M, K=K, forcing=lambda m, t: np.ones(6))
     assert system.M.u == 2
@@ -296,8 +301,13 @@ def test_integrate_rejects_a_march_that_overflows(n_steps):
 
 
 def test_integrate_rejects_negative_steps():
-    with pytest.raises(ConfigurationError, match="n_steps"):
-        integrate(scalar_mode(1.0), np.array([1.0]), params_from_rho([0.5]), 0.1, -1)
+    # and every count that is not a whole number; 4.0 is one
+    for n_steps in (-1, -2.0, 2.5, float("nan"), float("inf"), "3"):
+        with pytest.raises(ConfigurationError, match="n_steps"):
+            integrate(scalar_mode(1.0), np.array([1.0]), params_from_rho([0.5]), 0.1, n_steps)
+    for n_steps in (4.0, np.float64(4.0), np.int64(4)):
+        traj = integrate(scalar_mode(1.0), np.array([1.0]), params_from_rho([0.5]), 0.1, n_steps)
+        assert len(traj) == 5
 
 
 @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
@@ -336,15 +346,21 @@ def _dense_step(W, system, prm, t_n, tau):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_banded_step_matches_dense_stage_equations(k):
+    # tridiagonal heat stages (LDL^T) and, on the same mass and load, a
+    # pentadiagonal stiffness (banded Cholesky)
     rng = np.random.default_rng(40 + k)
-    system = manufactured_heat("sin-decay").assemble(16)
+    heat = manufactured_heat("sin-decay").assemble(16)
+    penta = SemiDiscreteSystem(n=heat.n, M=heat.M, K=16.0 * _pentadiagonal(heat.n),
+                               forcing=heat.forcing, m_max=heat.m_max)
+    assert (heat.K.u, penta.K.u) == (1, 2)
     prm = params_from_rho(rng.uniform(0.0, 1.0, k).tolist())
     tau = 0.05
-    W = rng.standard_normal((2 * k, system.n))
-    ws = StepWorkspace.build(system, prm, tau)
-    out = step(StateVector(k=k, tau=tau, data=W), 0.3, ws)
-    ref = _dense_step(W, system, prm, 0.3, tau)
-    assert np.max(np.abs(out.data - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for system in (heat, penta):
+        W = rng.standard_normal((2 * k, system.n))
+        ws = StepWorkspace.build(system, prm, tau)
+        out = step(StateVector(k=k, tau=tau, data=W), 0.3, ws)
+        ref = _dense_step(W, system, prm, 0.3, tau)
+        assert np.max(np.abs(out.data - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_step_on_a_mesh_too_large_for_dense_storage():
@@ -374,17 +390,40 @@ def test_lapack_binding_loads_scipys_flapack_file():
 
 @pytest.mark.parametrize("u", [0, 1, 2])
 def test_lapack_binding_matches_scipy_linalg_bitwise(u):
+    # u <= 1 goes to LDL^T (dpttrf/dpttrs), u = 2 to banded Cholesky
+    # (dpbtrf/dpbtrs); n = 1 included, where the LDL^T wrapper still wants
+    # a length-1 off-diagonal that LAPACK does not read
     from scipy.linalg import lapack
     rng = np.random.default_rng(70 + u)
-    n = 40
-    ab = rng.uniform(-1.0, 1.0, (u + 1, n))
-    ab[u] = 2.0 * u + rng.uniform(0.5, 1.5, n)  # diagonally dominant: SPD
-    fac = _Factorization(SymmetricBanded(ab))
-    ref, info = lapack.dpbtrf(ab, lower=0)
-    assert info == 0
-    assert fac.fac.tobytes() == ref.tobytes()
-    rhs = rng.standard_normal(n)
-    assert fac.solve(rhs).tobytes() == lapack.dpbtrs(ref, rhs, lower=0)[0].tobytes()
+    for n in (40, 1):
+        ab = rng.uniform(-1.0, 1.0, (u + 1, n))
+        ab[u] = 2.0 * u + rng.uniform(0.5, 1.5, n)  # diagonally dominant: SPD
+        A = SymmetricBanded(ab)
+        fac = _Factorization(A)
+        if u <= 1:
+            dense = A.toarray()
+            *ref, info = lapack.dpttrf(np.diag(dense), np.diag(dense, 1) if n > 1 else [0.0])
+            solve = lapack.dpttrs
+        else:
+            fac_ab, info = lapack.dpbtrf(ab, lower=0)
+            ref = [fac_ab]
+            solve = lapack.dpbtrs
+        assert info == 0
+        assert len(fac.factors) == len(ref)
+        for got, want in zip(fac.factors, ref):
+            assert got.tobytes() == want.tobytes()
+        rhs = rng.standard_normal(n)
+        assert fac.solve(rhs).tobytes() == solve(*ref, rhs)[0].tobytes()
+
+
+@pytest.mark.parametrize("ab", [
+    [[1.0, -1.0, 1.0]],                     # u = 0, a negative diagonal
+    [[0.0, 2.0, 0.0], [1.0, 1.0, 1.0]],     # u = 1, pivot 1 - 4 < 0
+    [[0.0, 1.0], [1.0, 1.0]],               # u = 1, singular: pivot 0
+], ids=["diagonal", "indefinite", "singular"])
+def test_tridiagonal_factorization_rejects_a_non_positive_pivot(ab):
+    with pytest.raises(LinearSolveError, match="leading minor 2 is not positive definite"):
+        _Factorization(SymmetricBanded(ab))
 
 
 def test_lapack_binding_names_the_folder_when_flapack_is_missing(monkeypatch, tmp_path):

@@ -17,6 +17,7 @@ import pytest
 from galpha import (
     ConfigurationError,
     PoleError,
+    SemiDiscreteSystem,
     StepWorkspace,
     asymptotic_eigenvalues,
     heat_fem_1d,
@@ -137,6 +138,12 @@ def _ref_stage_coefficients(params, tau):
     return out
 
 
+def _pentadiagonal(n):
+    """The SPD Toeplitz band [1, -4, 6, -4, 1]: half-bandwidth 2."""
+    return 6.0 * np.eye(n) + sum(c * (np.eye(n, k=d) + np.eye(n, k=-d))
+                                 for d, c in ((1, -4.0), (2, 1.0)))
+
+
 def _draws(seed, n=DRAWS):
     """(params, theta) pairs: k in 1..6, rho in [0, 1]^k with 0 and 1 drawn
     often, Re theta >= 0 and |theta| in [1e-6, 1e10]. A quarter of the draws
@@ -206,12 +213,20 @@ def test_asymptotic_eigenvalues_reject_a_zero_coefficient():
 
 
 def test_stage_factors_equal_the_two_branch_factors_bitwise():
-    system = heat_fem_1d(9, 1.0)
+    # the tridiagonal heat stages (LDL^T: factors d, e) and a pentadiagonal
+    # stiffness (banded Cholesky: factor ab) on the same mass
+    heat = heat_fem_1d(9, 1.0)
+    penta = SemiDiscreteSystem(n=heat.n, M=heat.M, K=_pentadiagonal(heat.n),
+                               forcing=heat.forcing)
+    assert (heat.K.u, penta.K.u) == (1, 2)
     rng = np.random.default_rng(5)
     for prm, _ in _draws(5, n=DRAWS // 5):
         tau = 10.0 ** rng.uniform(-4.0, np.log10(3.0))
-        ws = StepWorkspace.build(system, prm, tau)
-        coefs = _ref_stage_coefficients(prm, tau)
-        for j, (coef, fac) in enumerate(zip(coefs, ws.factors, strict=True)):
-            ref = _Factorization(system.M.combine(prm.alpha[j], system.K, coef))
-            assert np.array_equal(fac.fac, ref.fac)
+        for system, n_factors in ((heat, 2), (penta, 1)):
+            ws = StepWorkspace.build(system, prm, tau)
+            coefs = _ref_stage_coefficients(prm, tau)
+            for j, (coef, fac) in enumerate(zip(coefs, ws.factors, strict=True)):
+                ref = _Factorization(system.M.combine(prm.alpha[j], system.K, coef))
+                assert len(fac.factors) == len(ref.factors) == n_factors
+                for got, want in zip(fac.factors, ref.factors):
+                    assert got.tobytes() == want.tobytes()
