@@ -13,7 +13,6 @@ from .cayley import (
     CharPolyCoeffs,
     ConditionCheck,
     OrderConditionReport,
-    PowerSums,
     SlopeFit,
     bell_complete,
     charpoly_coeffs,
@@ -64,7 +63,6 @@ __all__ = [
     "MethodParams",
     "OrderConditionReport",
     "PoleError",
-    "PowerSums",
     "SemiDiscreteSystem",
     "SlopeFit",
     "StabilityMap",

@@ -5,19 +5,21 @@ s_l = tr(G^l) through complete exponential Bell polynomials,
 
     c_{n-l} = (-1)^l / l! * B_l(s_1, -1! s_2, 2! s_3, ..., (-1)^{l-1} (l-1)! s_l),
 
-which holds for any square matrix. The local accuracy of the time march is
+which holds for any square matrix. B_0 .. B_n come from one pass of the
+recurrence B_{l+1} = sum_i C(l, i) B_{l-i} x_{i+1}, which adds and multiplies
+by integers only, so it is exact on integers and fractions and runs over any
+commutative ring. The local accuracy of the time march is
 measured by the residual of the exact decay solution in the 2k+1 term scalar
 recurrence that det(lambda I - G) defines. Because G is block upper
 triangular, that residual is the product of the k stage quadratics at
 exp(-theta); recurrence_residual evaluates it in that form, and the Bell
-construction stays as an independent cross-check.
+route stays as an independent cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial, fsum
+from math import comb, factorial, fsum
 
 import numpy as np
 
@@ -25,7 +27,6 @@ from .exceptions import ConfigurationError, PoleError
 
 __all__ = [
     "BELL_CLOSED_FORMS",
-    "PowerSums",
     "CharPolyCoeffs",
     "ConditionCheck",
     "OrderConditionReport",
@@ -44,13 +45,6 @@ FLOOR_FACTOR = 100.0
 
 
 @dataclass(frozen=True)
-class PowerSums:
-    """s[l-1] = tr(G^l) for l = 1..l_max."""
-
-    s: tuple
-
-
-@dataclass(frozen=True)
 class CharPolyCoeffs:
     """p(lambda) = lambda^n + c[n-1] lambda^(n-1) + ... + c[0]."""
 
@@ -66,7 +60,7 @@ class CharPolyCoeffs:
 
 
 def power_sums(G, l_max):
-    """Traces of matrix powers by iterated multiplication."""
+    """(tr(G), tr(G^2), ..., tr(G^l_max)) by iterated multiplication."""
     if l_max < 1:
         raise ConfigurationError("l_max must be >= 1, got %d" % (l_max,))
     A = np.asarray(G, dtype=complex)
@@ -77,59 +71,11 @@ def power_sums(G, l_max):
     for _ in range(l_max):
         s.append(complex(np.trace(P)))
         P = P @ A
-    return PowerSums(s=tuple(s))
-
-
-def _bell_matrix(l, x):
-    """The l x l matrix whose determinant is B_l(x_1..x_l).
-
-    Row i (0-based) carries -i on the subdiagonal and x_{j-i+1}/(j-i)! on and
-    above the diagonal.
-    """
-    rows = []
-    for i in range(l):
-        row = []
-        for j in range(l):
-            if j == i - 1:
-                row.append(-i)
-            elif j >= i:
-                row.append(x[j - i] * Fraction(1, factorial(j - i))
-                           if isinstance(x[j - i], (int, Fraction))
-                           else x[j - i] / factorial(j - i))
-            else:
-                row.append(0)
-        rows.append(row)
-    return rows
-
-
-def _det_exact(rows):
-    """Fraction-preserving Gaussian elimination with row swaps."""
-    l = len(rows)
-    a = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for col in range(l):
-        piv = None
-        for r in range(col, l):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
-        for r in range(col + 1, l):
-            if a[r][col] != 0:
-                factor = a[r][col] / inv
-                for cc in range(col, l):
-                    a[r][cc] -= factor * a[col][cc]
-    return det
+    return tuple(s)
 
 
 # Expanded forms of B_2..B_6, kept as an independent cross-check on the
-# determinant evaluation. Exact for int/Fraction inputs.
+# recurrence. Exact for int/Fraction inputs.
 BELL_CLOSED_FORMS = {
     2: lambda x1, x2: x1 ** 2 + x2,
     3: lambda x1, x2, x3: x1 ** 3 + 3 * x1 * x2 + x3,
@@ -147,23 +93,33 @@ BELL_CLOSED_FORMS = {
 }
 
 
-def bell_complete(l, x):
-    """Complete exponential Bell polynomial B_l via the determinant form.
+def _bell_sequence(x):
+    """[B_0, B_1, ..., B_L] at x = (x_1, ..., x_L), L = len(x).
 
-    B_0 = 1 (empty product). Integer or Fraction inputs are evaluated exactly;
-    floating inputs use a pivoted LU determinant.
+    B_{l+1} = sum_{i=0..l} C(l, i) B_{l-i} x_{i+1}, from B_0 = 1: sums and
+    integer multiples only, with no division.
     """
-    if l == 0:
-        return Fraction(1)
+    B = [1]
+    for l in range(len(x)):
+        acc = B[l] * x[0]
+        for i in range(1, l + 1):
+            acc = acc + comb(l, i) * B[l - i] * x[i]
+        B.append(acc)
+    return B
+
+
+def bell_complete(l, x):
+    """Complete exponential Bell polynomial B_l(x_1, ..., x_l).
+
+    The result has the ring of the inputs: exact for int or Fraction, complex
+    for complex, elementwise for numpy arrays. B_0 = 1 (empty product).
+    """
     if l < 0:
         raise ConfigurationError("Bell polynomial index must be >= 0, got %d" % (l,))
     x = list(x)
     if len(x) != l:
         raise ConfigurationError("B_%d needs exactly %d arguments, got %d" % (l, l, len(x)))
-    rows = _bell_matrix(l, x)
-    if all(isinstance(v, (int, Fraction)) for v in x):
-        return _det_exact(rows)
-    return complex(np.linalg.det(np.array(rows, dtype=complex)))
+    return _bell_sequence(x)[l]
 
 
 def charpoly_coeffs(G):
@@ -177,11 +133,10 @@ def charpoly_coeffs(G):
             "characteristic polynomial supported up to n = %d, got n = %d"
             % (MAX_CHARPOLY_DIM, n)
         )
-    s = power_sums(A, n).s
-    c = [0j] * n
-    for l in range(1, n + 1):
-        x = [(-1.0) ** (m - 1) * factorial(m - 1) * s[m - 1] for m in range(1, l + 1)]
-        c[n - l] = (-1.0) ** l / factorial(l) * bell_complete(l, x)
+    s = power_sums(A, n)
+    B = _bell_sequence([(-1.0) ** (m - 1) * factorial(m - 1) * s[m - 1]
+                        for m in range(1, n + 1)])
+    c = [(-1.0) ** l / factorial(l) * B[l] for l in range(n, 0, -1)]
     return CharPolyCoeffs(n=n, c=tuple(complex(v) for v in c))
 
 

@@ -432,22 +432,22 @@ def cmd_order_check(args):
     taus = ORDER_CHECK_TAUS
     for k in cfg["k_list"]:
         prm = params_from_rho([rho] * k)
-        report = verify_order_conditions(prm)
-        res = [recurrence_residual(prm, 1.0, t) for t in taus]
-        fit = fit_slope(taus, res, scale=0.0)
-        rows.append([k, 0, fit.slope, report.all_ok, report.max_residual])
+        cases = [(0, prm)]
         if eps != 0.0:
             gam = list(prm.gamma)
             gam[0] += eps
-            pert = prm.with_gamma(gam)
-            report_p = verify_order_conditions(pert)
-            res_p = [recurrence_residual(pert, 1.0, t) for t in taus]
-            fit_p = fit_slope(taus, res_p, scale=0.0)
-            rows.append([k, 1, fit_p.slope, report_p.all_ok, report_p.max_residual])
-            drop = fit.slope - fit_p.slope
+            cases.append((1, prm.with_gamma(gam)))
+        slopes = []
+        for perturbed, params in cases:
+            report = verify_order_conditions(params)
+            res = [recurrence_residual(params, 1.0, t) for t in taus]
+            fit = fit_slope(taus, res, scale=0.0)
+            rows.append([k, perturbed, fit.slope, report.all_ok, report.max_residual])
+            slopes.append(fit.slope)
+        if eps != 0.0:
+            drop = slopes[0] - slopes[1]
             footers.append(("slope_drop_k%d" % k, drop))
-            if drop >= DEGRADATION_FLAG:
-                degraded = True
+            degraded = degraded or drop >= DEGRADATION_FLAG
     if eps != 0.0:
         footers.append(("degraded", degraded))
     _emit(args.out, ["k", "perturbed", "fitted_slope", "conditions_ok",

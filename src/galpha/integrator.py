@@ -157,7 +157,10 @@ class StepWorkspace:
     tau: float
     factors: list
     inv_fact: tuple  # 1/i! for the Taylor predictors, i = 0..2k-1
-    n_factorizations: int
+
+    @property
+    def n_factorizations(self):
+        return len(self.factors)
 
     @classmethod
     def build(cls, system, params, tau):
@@ -170,8 +173,7 @@ class StepWorkspace:
         factors = [_Factorization(system.M.combine(a, system.K, g * tau * c))
                    for a, g, c, _ in params._stages]
         return cls(system=system, params=params, tau=float(tau), factors=factors,
-                   inv_fact=tuple(1.0 / factorial(i) for i in range(2 * params.k)),
-                   n_factorizations=len(factors))
+                   inv_fact=tuple(1.0 / factorial(i) for i in range(2 * params.k)))
 
 
 def init_state(system, U0, k, tau, t0=0.0):

@@ -4,9 +4,9 @@ For the 1-dof problem u' = -lambda u the method advances a stack of 2k scaled
 derivatives by a 2k x 2k matrix G(theta), theta = tau * lambda. G is block
 upper triangular with k diagonal 2x2 blocks, one per stage, so eigenvalues come
 from closed-form quadratics. spectral_radius, sweeps and stability maps take
-those roots from one array kernel over theta of any shape; the 2x2 blocks and
-the dense matrix, assembled independently from the stage equations, are built
-only by amplification_matrix, which cross-checks one against the other.
+those roots from one array kernel over theta of any shape. Only
+amplification_matrix forms G itself, once, from the stage equations; its 2x2
+blocks are copies of the diagonal of that matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from math import factorial, isfinite
 
 import numpy as np
 
-from .exceptions import ConfigurationError, GalphaError, PoleError
+from .exceptions import ConfigurationError, PoleError
 
 __all__ = [
     "AmplificationMatrix",
@@ -35,61 +35,31 @@ A_STABILITY_SLACK = 1e-9
 KERNEL_CHUNK = 1 << 14
 
 
-def _stage_blocks(params, theta):
-    """Closed-form diagonal blocks G_1 ... G_k at a given theta, from the
-    stage table (MethodParams._stages).
-
-    Raises PoleError when a stage denominator alpha_j + b_j theta vanishes;
-    that happens only for real theta < 0.
-    """
-    th = complex(theta)
-    blocks = []
-    for j, (a, g, c, b) in enumerate(params._stages):
-        den = a + b * th
-        if den == 0:
-            raise PoleError(j + 1, theta)
-        blocks.append(np.array(
-            [[a + (c - 1.0) * g * th, a - g],
-             [-th, a + c * (g - 1.0) * th - 1.0]], dtype=complex) / den)
-    return blocks
-
-
 def _dense_from_stage_equations(params, theta):
     """Assemble G numerically as L^-1 R from the scaled stage equations.
 
     State ordering w_m = tau^m u^(m), m = 0..2k-1. Stage j couples the pair
-    (2j-2, 2j-1); rows of R hold the Taylor-predictor coefficients, so the
-    block lower triangle is exactly zero by construction. It reads alpha_f
-    itself, not the stage table, to stay an independent oracle.
+    (2j-2, 2j-1) and reads its row (alpha_j, gamma_j, c_j) of the stage table
+    (MethodParams._stages); rows of R hold the Taylor-predictor coefficients,
+    so the block lower triangle is exactly zero by construction.
     """
     th = complex(theta)
-    k = params.k
-    n = 2 * k
-    L = np.zeros((n, n), dtype=complex)
-    R = np.zeros((n, n), dtype=complex)
-    for j in range(1, k + 1):
-        e, o = 2 * j - 2, 2 * j - 1
-        a = params.alpha[j - 1]
-        g = params.gamma[j - 1]
-        c = params.alpha_f if j == k else 1.0
-        L[e, e] = 1.0
-        L[e, o] = -g
-        L[o, e] = c * th
-        L[o, o] = a
-        R[o, e] = -(1.0 - c) * th
+    n = 2 * params.k
+    G = np.empty((n, n), dtype=complex)
+    for j, (a, g, c, _) in enumerate(params._stages):
+        e = 2 * j
+        L = np.array([[1.0, -g], [c * th, a]], dtype=complex)
+        R = np.zeros((2, n), dtype=complex)
+        R[1, e] = -(1.0 - c) * th
         # predictors t_m = sum_i w_{m+i} / i!
         for i in range(n - e):
-            R[e, e + i] += 1.0 / factorial(i)
-        for i in range(n - o):
-            R[e, o + i] += -g / factorial(i)
-            R[o, o + i] += (a - 1.0) / factorial(i)
-    # L is block diagonal over the stage pairs, so solve blockwise; this keeps
-    # the zero pattern of R exact in the result.
-    G = np.zeros((n, n), dtype=complex)
-    for j in range(1, k + 1):
-        e = 2 * j - 2
-        sl = slice(e, e + 2)
-        G[sl, :] = np.linalg.solve(L[sl, sl], R[sl, :])
+            R[0, e + i] += 1.0 / factorial(i)
+        for i in range(n - e - 1):
+            R[0, e + 1 + i] += -g / factorial(i)
+            R[1, e + 1 + i] += (a - 1.0) / factorial(i)
+        # L is the stage's own 2x2 block of the block diagonal system, so the
+        # zero pattern of R stays exact in G
+        G[e:e + 2] = np.linalg.solve(L, R)
     return G
 
 
@@ -97,9 +67,8 @@ def _dense_from_stage_equations(params, theta):
 class AmplificationMatrix:
     """Amplification matrix G(theta) with its diagonal blocks.
 
-    blocks holds the k closed-form 2x2 stage blocks; dense is the full 2k x 2k
-    matrix including the upper coupling blocks. Both agree on the diagonal
-    blocks to near machine precision (checked at construction).
+    dense is the full 2k x 2k matrix including the upper coupling blocks;
+    blocks holds copies of its k diagonal 2x2 stage blocks.
     """
 
     k: int
@@ -117,18 +86,18 @@ class AmplificationMatrix:
 
 
 def amplification_matrix(params, theta):
-    """Build G(theta) both ways (closed-form blocks, dense stage equations)."""
-    blocks = _stage_blocks(params, theta)
+    """G(theta) from the stage equations, with its diagonal stage blocks.
+
+    Raises PoleError when a stage denominator alpha_j + b_j theta vanishes;
+    that happens only for real theta < 0.
+    """
+    th = complex(theta)
+    for j, (a, _, _, b) in enumerate(params._stages):
+        if a + b * th == 0:
+            raise PoleError(j + 1, theta)
     dense = _dense_from_stage_equations(params, theta)
-    scale = max(1.0, float(np.max(np.abs(dense))))
-    for j, B in enumerate(blocks):
-        sl = slice(2 * j, 2 * j + 2)
-        if np.max(np.abs(dense[sl, sl] - B)) > 1e-13 * scale:
-            raise GalphaError(
-                "internal inconsistency: dense and closed-form stage blocks "
-                "disagree at stage %d, theta = %s" % (j + 1, theta)
-            )
-    return AmplificationMatrix(params.k, complex(theta), tuple(blocks), dense)
+    blocks = tuple(dense[2 * j:2 * j + 2, 2 * j:2 * j + 2].copy() for j in range(params.k))
+    return AmplificationMatrix(params.k, th, blocks, dense)
 
 
 def block_eigenvalues(block):
