@@ -32,6 +32,18 @@ def _random_params(rng, k):
     return params_from_rho(rng.uniform(0.0, 1.0, k).tolist())
 
 
+def test_dense_matches_diagonal_blocks():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        k = int(rng.integers(1, 5))
+        prm = _random_params(rng, k)
+        theta = complex(rng.uniform(-5, 50), rng.uniform(-50, 50))
+        amp = amplification_matrix(prm, theta)
+        for j, B in enumerate(amp.blocks):
+            sl = slice(2 * j, 2 * j + 2)
+            np.testing.assert_array_equal(amp.dense[sl, sl], B)
+
+
 def test_dense_lower_block_triangle_exactly_zero():
     prm = params_from_rho([0.9, 0.4, 0.1, 0.6])
     amp = amplification_matrix(prm, 3.7)
