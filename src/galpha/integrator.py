@@ -1,11 +1,17 @@
 """The k-stage time march: initialization, one step, and the driving loop.
 
-Per step, stage j = 1..k-1 solves (alpha_j M + gamma_j tau K) Q_j = rhs built
-from Taylor predictors of the time-n state, and the last stage solves
-(alpha_k M + alpha_f gamma_k tau K) D = rhs with the equation shifted to
-t_n + alpha_f tau. Stages are mutually decoupled; they are processed in
-descending order only for determinism. State entries are stored scaled,
-block m holding tau^m u^(m), which makes every update dimensionless.
+State entries are stored scaled, block m holding tau^m u^(m), which makes
+every update dimensionless. Per step, with T = S W the Taylor predictors of
+the time-n stack W (S = MethodParams._shift), every stage j = 1..k reads its
+row (alpha_j, gamma_j, c_j, b_j) of the stage table (MethodParams._stages),
+takes its pair of blocks (e, o) = (2j - 2, 2j - 1) and solves
+
+    (alpha_j M + b_j tau K) q_j = -M T[o] - tau K U_j + tau^o F^(e)(t_n + c_j tau),
+    U_j = c_j T[e] + (1 - c_j) W[e],
+
+U_j being the stage's displacement at its equation time t_n + c_j tau (c_j = 1,
+or alpha_f for the last stage), and sets new[e] = T[e] + gamma_j q_j and
+new[o] = T[o] + q_j. Stages are mutually decoupled and run in ascending order.
 
 StepWorkspace.build(system, params, tau) factors the k stage matrices once and
 keeps the system, the params and tau with them; step(state, t_n, ws) reads all
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_file_location
-from math import factorial, inf
+from math import inf
 
 import numpy as np
 
@@ -156,7 +162,6 @@ class StepWorkspace:
     params: object
     tau: float
     factors: list
-    inv_fact: tuple  # 1/i! for the Taylor predictors, i = 0..2k-1
 
     @property
     def n_factorizations(self):
@@ -172,8 +177,7 @@ class StepWorkspace:
         _check_tau(tau, params.k)
         factors = [_Factorization(system.M.combine(a, system.K, g * tau * c))
                    for a, g, c, _ in params._stages]
-        return cls(system=system, params=params, tau=float(tau), factors=factors,
-                   inv_fact=tuple(1.0 / factorial(i) for i in range(2 * params.k)))
+        return cls(system=system, params=params, tau=float(tau), factors=factors)
 
 
 def init_state(system, U0, k, tau, t0=0.0):
@@ -223,31 +227,24 @@ def step(state, t_n, ws):
                "; a state scaled with tau steps only with that tau" if state.tau != tau else "")
         )
     W = state.data
-    M, K = system.M, system.K
+    M, K, S = system.M, system.K, params._shift
     # Taylor predictors of every block over the rest of the stack:
-    # T[m] = sum_i W[m + i] / i!, summed in ascending i
+    # T[m] = sum_i S[0, i] W[m + i], S[0, i] = S[m, m + i] = 1/i!, summed in ascending i
     T = W.copy()
     for i in range(1, 2 * k):
-        T[:2 * k - i] += ws.inv_fact[i] * W[i:]
+        T[:2 * k - i] += S[0, i] * W[i:]
+    # every stage's displacement at its equation time t_n + c tau
+    c = params._c
+    U = c * T[0::2] + (1.0 - c) * W[0::2]
     new = np.empty_like(W)
-    af = params.alpha_f
-    for j in range(k, 0, -1):
-        e, o = 2 * j - 2, 2 * j - 1
-        g = params.gamma[j - 1]
-        tau_o = tau ** o
-        if j < k:
-            t_e, t_o = T[e], T[o]
-            rhs = (-(M @ t_o) - tau * (K @ t_e)
-                   + tau_o * system.forcing_derivative(e, t_n + tau))
-            q = ws.factors[j - 1].solve(rhs)
-            new[e] = t_e + g * q
-            new[o] = t_o + q
-        else:
-            rhs = (-(M @ W[o]) - tau * (K @ (W[e] + af * W[o]))
-                   + tau_o * system.forcing_derivative(e, t_n + af * tau))
-            d = ws.factors[j - 1].solve(rhs)
-            new[e] = W[e] + W[o] + g * d
-            new[o] = W[o] + d
+    for j, ((_, g, c_j, _), fac) in enumerate(zip(params._stages, ws.factors)):
+        e, o = 2 * j, 2 * j + 1
+        t_e, t_o = T[e], T[o]
+        rhs = (-(M @ t_o) - tau * (K @ U[j])
+               + tau ** o * system.forcing_derivative(e, t_n + c_j * tau))
+        q = fac.solve(rhs)
+        new[e] = t_e + g * q
+        new[o] = t_o + q
     return StateVector(k=k, tau=tau, data=new)
 
 

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial
+
+import numpy as np
 
 from .exceptions import ConfigurationError
 
@@ -76,6 +79,28 @@ class MethodParams:
         """
         cs = (1.0,) * (self.k - 1) + (self.alpha_f,)
         return tuple((a, g, c, c * g) for a, g, c in zip(self.alpha, self.gamma, cs))
+
+    @cached_property
+    def _c(self):
+        """The c column of the stage table as a read-only (k, 1) array."""
+        c = np.array([row[2] for row in self._stages])[:, None]
+        c.flags.writeable = False
+        return c
+
+    @cached_property
+    def _shift(self):
+        """The Taylor-shift matrix S, S[m, m + i] = 1/i! (read-only, 2k x 2k).
+
+        Row m of S applied to the scaled stack W gives block m's Taylor
+        predictor over one step, sum_i W[m + i] / i!. The stepper's predictors
+        and the dense stage equations of the spectral module both read it.
+        """
+        n = 2 * self.k
+        S = np.zeros((n, n))
+        for i in range(n):
+            np.fill_diagonal(S[:, i:], 1.0 / factorial(i))
+        S.flags.writeable = False
+        return S
 
     def with_gamma(self, gamma):
         """Copy with the gamma tuple replaced (used for perturbation studies)."""

@@ -222,7 +222,6 @@ class ManufacturedCase:
     time.
     """
 
-    name: str
     kappa: float
     u: object        # u(x, t)
     u_t: object      # du/dt
@@ -297,10 +296,8 @@ def manufactured_heat(case_id, kappa=1.0):
     def u0(x):
         return np.sin(pi * np.asarray(x))
 
-    return ManufacturedCase(
-        name="sin-decay", kappa=kap, u=u, u_t=u_t, u_xx=u_xx,
-        f_space=f_space, f_time=f_time, u0=u0,
-    )
+    return ManufacturedCase(kappa=kap, u=u, u_t=u_t, u_xx=u_xx,
+                            f_space=f_space, f_time=f_time, u0=u0)
 
 
 def l2_error(U_h, case, t):

@@ -12,7 +12,7 @@ blocks are copies of the diagonal of that matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, isfinite
+from math import isfinite
 
 import numpy as np
 
@@ -40,23 +40,22 @@ def _dense_from_stage_equations(params, theta):
 
     State ordering w_m = tau^m u^(m), m = 0..2k-1. Stage j couples the pair
     (2j-2, 2j-1) and reads its row (alpha_j, gamma_j, c_j) of the stage table
-    (MethodParams._stages); rows of R hold the Taylor-predictor coefficients,
-    so the block lower triangle is exactly zero by construction.
+    (MethodParams._stages); rows of R combine rows of the Taylor-shift matrix
+    (MethodParams._shift), so the block lower triangle is exactly zero by
+    construction.
     """
     th = complex(theta)
     n = 2 * params.k
+    S = params._shift
     G = np.empty((n, n), dtype=complex)
     for j, (a, g, c, _) in enumerate(params._stages):
         e = 2 * j
         L = np.array([[1.0, -g], [c * th, a]], dtype=complex)
+        # rows t_e - g t_o and (a - 1) t_o of the predictors t = S w
         R = np.zeros((2, n), dtype=complex)
+        R[0, e:] = S[e, e:] - g * S[e + 1, e:]
+        R[1, e:] = (a - 1.0) * S[e + 1, e:]
         R[1, e] = -(1.0 - c) * th
-        # predictors t_m = sum_i w_{m+i} / i!
-        for i in range(n - e):
-            R[0, e + i] += 1.0 / factorial(i)
-        for i in range(n - e - 1):
-            R[0, e + 1 + i] += -g / factorial(i)
-            R[1, e + 1 + i] += (a - 1.0) / factorial(i)
         # L is the stage's own 2x2 block of the block diagonal system, so the
         # zero pattern of R stays exact in G
         G[e:e + 2] = np.linalg.solve(L, R)
@@ -176,7 +175,7 @@ def _raise_first_pole(poles, theta):
 
 
 def check_range(name, lo, hi, positive=False):
-    """(lo, hi) as floats, checked finite, ordered and, if asked, positive.
+    """(lo, hi) as floats: finite, ordered, of finite width and, if asked, positive.
 
     The one boundary check of the analysis inputs: theta grids, map axes and
     the CLI ranges all pass through it, so NaN and inf never reach the kernel.
@@ -188,6 +187,9 @@ def check_range(name, lo, hi, positive=False):
         raise ConfigurationError("%s range must be positive, got [%g, %g]" % (name, lo, hi))
     if lo > hi:
         raise ConfigurationError("%s range is reversed: [%g, %g]" % (name, lo, hi))
+    if not isfinite(hi - lo):
+        raise ConfigurationError("%s range is too wide: the width of [%g, %g] overflows"
+                                 % (name, lo, hi))
     return lo, hi
 
 

@@ -416,6 +416,18 @@ def test_stability_map_rejects_nan_range(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_stability_map_rejects_a_range_whose_width_overflows(tmp_path, capsys):
+    out = tmp_path / "map.csv"
+    assert run_cli(tmp_path, "stability-map", extra=[
+        "--k", 2, "--rho", 0.5, "--re-min", "-1e308", "--re-max", "1e308", "--resolution", 3,
+        "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "re range is too wide" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_stability_map_without_right_half_plane_nodes_is_undetermined(tmp_path):
     out = tmp_path / "map.csv"
     assert run_cli(tmp_path, "stability-map", extra=[

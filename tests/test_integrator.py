@@ -155,12 +155,15 @@ def test_step_equals_amplification_matrix_action():
     np.testing.assert_allclose(out.data[:, 0], expected, rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("k", [5, 6])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_step_equals_amplification_matrix_action_at_high_stage_counts(k):
     rng = np.random.default_rng(k)
     system = scalar_mode(1.0)
-    for _ in range(10):
-        prm = params_from_rho(rng.uniform(0.0, 1.0, k).tolist())
+    for i in range(10):
+        rho = rng.uniform(0.0, 1.0, k)
+        if i < 2:
+            rho[-1] = i  # rho_k = 0 and 1: both ends of the last stage's displacement row
+        prm = params_from_rho(rho.tolist())
         tau = 10.0 ** rng.uniform(-3.0, 3.0)
         v = rng.standard_normal(2 * k)
         state = StateVector(k=k, tau=tau, data=v[:, None])

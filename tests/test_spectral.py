@@ -1,6 +1,7 @@
 """Amplification blocks, dense assembly, spectra, sweeps, stability maps."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -425,6 +426,18 @@ def test_sweep_rejects_non_finite_theta(bad):
 def test_stability_region_rejects_non_finite_ranges(re_range, im_range):
     with pytest.raises(ConfigurationError, match="finite"):
         stability_region(params_from_rho([0.5]), re_range, im_range, 3)
+
+
+@pytest.mark.parametrize("re_range, im_range", [
+    ((-1e308, 1e308), (-100.0, 100.0)),
+    ((0.0, 1.0), (-1.5e308, 1e308)),
+])
+def test_stability_region_rejects_a_range_whose_width_overflows(re_range, im_range):
+    # finite ends whose difference is not: linspace would make nan and inf nodes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="too wide"):
+            stability_region(params_from_rho([0.5, 0.5]), re_range, im_range, 3)
 
 
 def test_stability_region_certifies_rho_one_far_out():
