@@ -26,7 +26,7 @@ from .exceptions import ConfigurationError, GalphaError, LinearSolveError, PoleE
 from .integrator import integrate
 from .params import params_from_rho
 from .problems import l2_error, manufactured_heat, scalar_mode
-from .spectral import check_range, stability_region, sweep_spectral_radius
+from .spectral import check_points, check_range, stability_region, sweep_spectral_radius
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -342,10 +342,7 @@ def cmd_spectrum(args):
     prm = _cfg_params(cfg)
     tmin, tmax = check_range("theta", cfg["theta_min"], cfg["theta_max"], positive=True)
     npts = cfg["theta_points"]
-    if npts < 1:
-        raise ConfigurationError("theta_points must be >= 1, got %d" % npts)
-    if npts == 1 and tmin != tmax:
-        raise ConfigurationError("a single-point grid needs theta_min == theta_max")
+    check_points("theta_points", npts, tmin, tmax)
     grid = np.logspace(log10(tmin), log10(tmax), npts)
     sweep = sweep_spectral_radius(prm, grid)
     header = ["theta", "rho_G"] + ["lambda_abs_%d" % (i + 1) for i in range(2 * prm.k)]

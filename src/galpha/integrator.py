@@ -169,10 +169,11 @@ class StepWorkspace:
 
     @classmethod
     def build(cls, system, params, tau):
-        report = validate_stability(params)
-        if not report.ok:
+        violations = validate_stability(params)
+        if violations:
             raise ConfigurationError(
-                "parameters violate the stability bounds: " + "; ".join(report.violations)
+                "parameters violate the stability bounds (c_j = 1 for j < k, c_k = alpha_f): "
+                + "; ".join(violations)
             )
         _check_tau(tau, params.k)
         factors = [_Factorization(system.M.combine(a, system.K, g * tau * c))

@@ -2,20 +2,23 @@
 
 Each stage j carries a dissipation control rho_j in [0, 1]: the magnitude that
 the stage's nonzero amplification eigenvalue approaches in the high-frequency
-limit. Stage coefficients follow from rho by closed formulas; the gamma values
-are fixed by the order conditions
+limit. Stage coefficients follow from rho by closed formulas. Every stage is
+then a row (alpha_j, gamma_j, c_j, b_j) of one stage table (MethodParams._stages),
+with c_j = 1 for j < k and c_k = alpha_f, and two per-stage laws hold on each
+row. The order condition
 
-    gamma_j = alpha_j - 1/2        (j < k)
-    gamma_k = 1/2 - alpha_f + alpha_k
+    alpha_j - gamma_j - c_j + 1/2 = 0,
 
-which both collapse to gamma_j = 1/(1 + rho_j).
+that is gamma_j = alpha_j - 1/2 (j < k) and gamma_k = 1/2 - alpha_f + alpha_k,
+which both collapse to gamma_j = 1/(1 + rho_j); and the unconditional-stability
+bounds alpha_j >= c_j >= 1/2 and gamma_j > 0, which validate_stability checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
+from math import factorial, fsum
 
 import numpy as np
 
@@ -23,7 +26,6 @@ from .exceptions import ConfigurationError
 
 __all__ = [
     "MethodParams",
-    "StabilityReport",
     "params_from_rho",
     "validate_stability",
 ]
@@ -81,6 +83,16 @@ class MethodParams:
         return tuple((a, g, c, c * g) for a, g, c in zip(self.alpha, self.gamma, cs))
 
     @cached_property
+    def _order_defects(self):
+        """The order law on each row: alpha_j - gamma_j - c_j + 1/2, exactly rounded.
+
+        Zero under the order conditions. It is the theta^2 coefficient of each
+        stage factor in recurrence_residual, and verify_order_conditions
+        reports its magnitude.
+        """
+        return tuple(fsum((a, -g, -c, 0.5)) for a, g, c, _ in self._stages)
+
+    @cached_property
     def _c(self):
         """The c column of the stage table as a read-only (k, 1) array."""
         c = np.array([row[2] for row in self._stages])[:, None]
@@ -98,21 +110,15 @@ class MethodParams:
         n = 2 * self.k
         S = np.zeros((n, n))
         for i in range(n):
-            np.fill_diagonal(S[:, i:], 1.0 / factorial(i))
+            # integer true division rounds correctly, to a subnormal or 0 once
+            # i! passes the float range, where 1.0 / factorial(i) overflows
+            np.fill_diagonal(S[:, i:], 1 / factorial(i))
         S.flags.writeable = False
         return S
 
     def with_gamma(self, gamma):
         """Copy with the gamma tuple replaced (used for perturbation studies)."""
         return MethodParams(self.k, self.alpha, self.alpha_f, tuple(gamma))
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Outcome of validate_stability: ok flag plus one line per violated bound."""
-
-    ok: bool
-    violations: tuple
 
 
 def params_from_rho(rho):
@@ -138,22 +144,21 @@ def params_from_rho(rho):
 
 
 def validate_stability(params):
-    """Check the unconditional-stability bounds on a coefficient set.
+    """The unconditional-stability bounds that a coefficient set violates.
 
-    Bounds: alpha_j >= 1 for j < k, alpha_k >= alpha_f >= 1/2, and every
-    gamma_j > 0. The rho parameterization satisfies all of them exactly for
-    rho in [0, 1]^k, boundary values included, so no tolerance slop is used.
+    Every row (alpha_j, gamma_j, c_j, b_j) of the stage table must satisfy
+    alpha_j >= c_j, c_j >= 1/2 and gamma_j > 0; with c_j = 1 (j < k) and
+    c_k = alpha_f these are alpha_j >= 1, alpha_k >= alpha_f >= 1/2 and
+    gamma_j > 0. Returns one string per violated bound, such as
+    "alpha_2 >= c_2", in stage order; () means the set is admissible. A NaN
+    entry violates every bound it enters. The rho parameterization satisfies
+    all of them exactly for rho in [0, 1]^k, boundary values included, so no
+    tolerance slop is used.
     """
-    violations = []
-    k = params.k
-    for j in range(k - 1):
-        if not params.alpha[j] >= 1.0:
-            violations.append("alpha_%d >= 1" % (j + 1,))
-    if not params.alpha[k - 1] >= params.alpha_f:
-        violations.append("alpha_%d >= alpha_f" % (k,))
-    if not params.alpha_f >= 0.5:
-        violations.append("alpha_f >= 1/2")
-    for j in range(k):
-        if not params.gamma[j] > 0.0:
-            violations.append("gamma_%d > 0" % (j + 1,))
-    return StabilityReport(ok=not violations, violations=tuple(violations))
+    return tuple(
+        bound.format(j)
+        for j, (a, g, c, _) in enumerate(params._stages, 1)
+        for holds, bound in ((a >= c, "alpha_{0} >= c_{0}"), (c >= 0.5, "c_{0} >= 1/2"),
+                             (g > 0.0, "gamma_{0} > 0"))
+        if not holds
+    )

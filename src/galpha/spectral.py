@@ -193,6 +193,15 @@ def check_range(name, lo, hi, positive=False):
     return lo, hi
 
 
+def check_points(name, n, lo, hi):
+    """A point count n for the axis [lo, hi]: n >= 1, and n = 1 only on a
+    degenerate range (lo == hi). The map axes and the CLI's theta grid share it."""
+    if n < 1:
+        raise ConfigurationError("%s must be >= 1, got %d" % (name, n))
+    if n == 1 and lo != hi:
+        raise ConfigurationError("%s = 1 needs a degenerate range, got [%g, %g]" % (name, lo, hi))
+
+
 def spectral_radius(params, theta):
     """max |eigenvalue| of G(theta), from the closed-form stage roots."""
     mags, poles = _stage_root_magnitudes(params, theta)
@@ -271,13 +280,8 @@ def stability_region(params, re_range, im_range, resolution):
         raise ConfigurationError(bad)
     re_lo, re_hi = check_range("re", *re_range)
     im_lo, im_hi = check_range("im", *im_range)
-    for name, n, lo, hi in (("re", n_re, re_lo, re_hi), ("im", n_im, im_lo, im_hi)):
-        if n < 1:
-            raise ConfigurationError("%s resolution must be >= 1, got %d" % (name, n))
-        if n == 1 and lo != hi:
-            raise ConfigurationError(
-                "single-point %s axis needs a degenerate range, got [%g, %g]" % (name, lo, hi)
-            )
+    check_points("re resolution", n_re, re_lo, re_hi)
+    check_points("im resolution", n_im, im_lo, im_hi)
     res = np.linspace(re_lo, re_hi, n_re)
     ims = np.linspace(im_lo, im_hi, n_im)
     theta = np.empty((n_re, n_im), dtype=complex)

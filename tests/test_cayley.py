@@ -1,7 +1,7 @@
 """Characteristic polynomial via power sums and Bell polynomials."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, isnan, nan
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from galpha import (
     BELL_CLOSED_FORMS,
     ConfigurationError,
+    MethodParams,
     PoleError,
     amplification_matrix,
     bell_complete,
@@ -304,13 +305,14 @@ def test_order_conditions_pass_for_derived_params():
         assert report.max_residual <= 1e-13
 
 
-def test_order_condition_names():
-    report = verify_order_conditions(params_from_rho([0.5, 0.5]))
-    names = [c.name for c in report.conditions]
-    assert names == [
-        "gamma_1 = alpha_1 - 1/2",
-        "gamma_2 = 1/2 - alpha_f + alpha_2",
-    ]
+def test_order_condition_residuals_one_per_stage_in_order():
+    # dyadic coefficients on the order law; shifting gamma_j by 2^-j moves
+    # only stage j's residual, to exactly 2^-j
+    prm = MethodParams(3, (1.25, 1.25, 0.75), 0.5, (0.75, 0.75, 0.75))
+    shifts = (0.5, 0.25, 0.125)
+    pert = prm.with_gamma([g + d for g, d in zip(prm.gamma, shifts)])
+    assert verify_order_conditions(pert).residuals == shifts
+    assert verify_order_conditions(prm).residuals == (0.0, 0.0, 0.0)
 
 
 def test_order_conditions_catch_perturbation():
@@ -318,9 +320,17 @@ def test_order_conditions_catch_perturbation():
     pert = prm.with_gamma((prm.gamma[0] + 1e-3, prm.gamma[1]))
     report = verify_order_conditions(pert)
     assert not report.all_ok
-    assert not report.conditions[0].ok
-    assert report.conditions[1].ok
-    assert abs(report.conditions[0].residual - 1e-3) <= 1e-12
+    first, last = report.residuals
+    assert abs(first - 1e-3) <= 1e-12
+    assert last <= 1e-12
+    assert report.max_residual == first
+
+
+@pytest.mark.parametrize("gamma", [(nan, 0.75), (0.75, nan)], ids=["first", "last"])
+def test_order_condition_max_residual_carries_nan(gamma):
+    report = verify_order_conditions(MethodParams(2, (1.25, 0.75), 0.5, gamma))
+    assert not report.all_ok
+    assert isnan(report.max_residual)
 
 
 def test_fit_slope_recovers_exact_power():

@@ -704,10 +704,14 @@ def test_flag_and_config_give_the_same_csv(tmp_path, command, key):
     ("solve", None, ["--k", 1, "--rho", 0.5, "--tau", 0.1, "--steps", -1],
      "n_steps must be >= 0, got -1"),
     ("order-check", None, ["--k-list", 1, "--svg"], "--svg"),
+    ("spectrum", None, ["--k", 1, "--rho", 0.5, "--theta-points", 0],
+     "theta_points must be >= 1, got 0"),
+    ("spectrum", None, ["--k", 1, "--rho", 0.5, "--theta-points", 1, "--theta-min", 1,
+                        "--theta-max", 2], "theta_points = 1 needs a degenerate range"),
 ], ids=["unknown-key", "k-text", "k-list", "rho-entry", "k_list-number", "fractional-count",
         "order-check-k-flag", "abbreviated-flag", "resolution-one", "resolution-three",
         "resolution-fraction", "resolution-three-flag", "k-zero", "k_list-zero",
-        "negative-steps", "order-check-svg"])
+        "negative-steps", "order-check-svg", "theta-points-zero", "theta-points-one"])
 def test_bad_input_exits_two_with_one_line(tmp_path, capsys, command, cfg, extra, names):
     out = tmp_path / "out.csv"
     assert run_cli(tmp_path, command, cfg=cfg, extra=[*extra, "--out", out]) == 2
@@ -716,6 +720,24 @@ def test_bad_input_exits_two_with_one_line(tmp_path, capsys, command, cfg, extra
     assert names in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("solve", ["--tau", 0.1, "--steps", 1]),
+    ("converge", []),
+], ids=["solve", "converge"])
+def test_k_86_ends_without_a_traceback(tmp_path, capsys, command, extra):
+    # 2k - 1 = 171: the Taylor-shift entry 1/171! lies below the float range,
+    # and the run must end in an exit code, not an exception
+    code = run_cli(tmp_path, command, extra=["--k", 86, "--rho", 0.5, *extra,
+                                             "--out", tmp_path / "out.csv"])
+    assert code in (0, 2)
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("config error: ")
+        assert len(err.splitlines()) == 1
+    else:
+        assert err == ""
 
 
 @pytest.mark.parametrize("command", sorted(cli.OPTIONS))

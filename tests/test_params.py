@@ -1,5 +1,7 @@
 """Parameter maps from the dissipation controls and the stability bounds."""
 
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -61,8 +63,8 @@ def test_bounds_hold_across_the_whole_control_range():
     for rho in np.linspace(0.0, 1.0, 101):
         for k in (1, 2, 3, 4):
             prm = params_from_rho([float(rho)] * k)
-            report = validate_stability(prm)
-            assert report.ok, report.violations
+            violations = validate_stability(prm)
+            assert violations == (), violations
 
 
 def test_params_accepts_plain_sequence():
@@ -86,22 +88,19 @@ def test_rho_out_of_range_names_the_offender():
 
 
 def test_violation_strings_name_each_bound():
-    report = validate_stability(MethodParams(2, (0.9, 1.2), 0.8, (0.4, 0.9)))
-    assert not report.ok
-    assert "alpha_1 >= 1" in report.violations
-
-    report = validate_stability(MethodParams(1, (0.4,), 0.45, (0.7,)))
-    assert "alpha_1 >= alpha_f" in report.violations
-    assert "alpha_f >= 1/2" in report.violations
-
-    report = validate_stability(MethodParams(1, (1.0,), 0.5, (0.0,)))
-    assert "gamma_1 > 0" in report.violations
+    # the four bounds in stage-table terms: alpha_j >= c_j = 1 on an inner
+    # stage, alpha_k >= c_k = alpha_f, c_k = alpha_f >= 1/2, and gamma_j > 0
+    assert validate_stability(MethodParams(2, (0.9, 1.2), 0.8, (0.4, 0.9))) == (
+        "alpha_1 >= c_1",)
+    assert validate_stability(MethodParams(1, (0.4,), 0.45, (0.7,))) == (
+        "alpha_1 >= c_1", "c_1 >= 1/2")
+    assert validate_stability(MethodParams(1, (1.0,), 0.5, (0.0,))) == ("gamma_1 > 0",)
+    assert validate_stability(MethodParams(2, (1.0, 0.7), 0.75, (0.5, -0.1))) == (
+        "alpha_2 >= c_2", "gamma_2 > 0")
 
 
 def test_valid_params_report_no_violations():
-    report = validate_stability(params_from_rho([0.3, 0.9]))
-    assert report.ok
-    assert report.violations == ()
+    assert validate_stability(params_from_rho([0.3, 0.9])) == ()
 
 
 def test_with_gamma_replaces_only_gamma():
@@ -118,3 +117,14 @@ def test_method_params_length_mismatch_rejected():
         MethodParams(2, (1.0,), 0.5, (0.5, 0.5))
     with pytest.raises(ConfigurationError):
         MethodParams(2, (1.0, 1.0), 0.5, (0.5,))
+
+
+def test_taylor_shift_reaches_past_the_float_factorials():
+    # 171! is past the float range, so 1.0 / 171! overflows; 1/i! is the
+    # correctly rounded quotient (a subnormal at i = 171, zero from i = 178
+    # on), and below i = 23, where i! is an exact float, it equals 1.0 / i!
+    S = params_from_rho([0.5] * 90)._shift
+    assert np.all(np.isfinite(S))
+    assert 0.0 < S[0, 171] < np.finfo(float).tiny
+    assert S[0, 179] == 0.0
+    assert all(S[0, i] == 1.0 / factorial(i) for i in range(23))

@@ -8,7 +8,10 @@ references bitwise on seeded draws of k = 1..6, rho in [0, 1]^k (0 and 1
 included), complex theta in the right half-plane up to 1e10 and
 tau in [1e-4, 3]. The one exception is the closed-form 2x2 blocks, which
 amplification_matrix now copies from the diagonal of its dense matrix; they
-agree with the reference to 1e-13 of that matrix's largest entry.
+agree with the reference to 1e-13 of that matrix's largest entry. The
+stability bounds are not numbers: validate_stability must violate the same
+bounds as its reference, renamed into table terms, on the draws and on
+out-of-range coefficient sets with NaN entries.
 """
 
 from math import fsum
@@ -18,6 +21,7 @@ import pytest
 
 from galpha import (
     ConfigurationError,
+    MethodParams,
     PoleError,
     SemiDiscreteSystem,
     StepWorkspace,
@@ -26,6 +30,8 @@ from galpha import (
     heat_fem_1d,
     params_from_rho,
     recurrence_residual,
+    validate_stability,
+    verify_order_conditions,
 )
 from galpha.cayley import _exp_tail
 from galpha.integrator import _Factorization
@@ -141,6 +147,36 @@ def _ref_stage_coefficients(params, tau):
     return out
 
 
+def _ref_validate_stability(params):
+    violations = []
+    k = params.k
+    for j in range(k - 1):
+        if not params.alpha[j] >= 1.0:
+            violations.append("alpha_%d >= 1" % (j + 1,))
+    if not params.alpha[k - 1] >= params.alpha_f:
+        violations.append("alpha_%d >= alpha_f" % (k,))
+    if not params.alpha_f >= 0.5:
+        violations.append("alpha_f >= 1/2")
+    for j in range(k):
+        if not params.gamma[j] > 0.0:
+            violations.append("gamma_%d > 0" % (j + 1,))
+    return tuple(violations)
+
+
+def _ref_order_residuals(params):
+    """The residual of each ConditionCheck that verify_order_conditions built."""
+    residuals = []
+    k = params.k
+    for j in range(k - 1):
+        target = params.alpha[j] - 0.5
+        res = abs(params.gamma[j] - target)
+        residuals.append(res)
+    target = 0.5 - params.alpha_f + params.alpha[k - 1]
+    res = abs(params.gamma[k - 1] - target)
+    residuals.append(res)
+    return tuple(residuals)
+
+
 def _pentadiagonal(n):
     """The SPD Toeplitz band [1, -4, 6, -4, 1]: half-bandwidth 2."""
     return 6.0 * np.eye(n) + sum(c * (np.eye(n, k=d) + np.eye(n, k=-d))
@@ -227,6 +263,41 @@ def test_asymptotic_eigenvalues_equal_the_two_branch_limits_bitwise():
 def test_asymptotic_eigenvalues_reject_a_zero_coefficient():
     with pytest.raises(ConfigurationError, match="stage 2 has no asymptotic limit"):
         asymptotic_eigenvalues(params_from_rho([0.5, 0.5]).with_gamma([0.6, 0.0]))
+
+
+def _out_of_range_params(seed, n=DRAWS):
+    """MethodParams with k in 1..6 and every entry uniform in [-1, 3], where
+    a tenth of the entries are NaN."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        k = int(rng.integers(1, 7))
+        v = rng.uniform(-1.0, 3.0, 2 * k + 1)
+        v[rng.random(v.size) < 0.1] = np.nan
+        yield MethodParams(k, v[:k], v[k], v[k + 1:])
+
+
+def test_stability_bounds_equal_the_two_branch_bounds():
+    # the same bounds violated, once renamed: with c_j = 1 (j < k) and
+    # c_k = alpha_f, "alpha_j >= 1", "alpha_k >= alpha_f" and "alpha_f >= 1/2"
+    # read "alpha_j >= c_j", "alpha_k >= c_k" and "c_k >= 1/2"
+    params = [prm for prm, _ in _draws(6)] + list(_out_of_range_params(7))
+    rejected = 0
+    for prm in params:
+        k = prm.k
+        renamed = {"alpha_%d >= alpha_f" % k: "alpha_%d >= c_%d" % (k, k),
+                   "alpha_f >= 1/2": "c_%d >= 1/2" % k}
+        renamed.update(("alpha_%d >= 1" % j, "alpha_%d >= c_%d" % (j, j)) for j in range(1, k))
+        new, ref = validate_stability(prm), _ref_validate_stability(prm)
+        assert bool(new) == bool(ref)
+        assert len(new) == len(ref)
+        assert sorted(new) == sorted(renamed.get(v, v) for v in ref)
+        rejected += bool(ref)
+    assert 0 < rejected < len(params)
+
+
+def test_order_residuals_equal_the_two_branch_residuals_bitwise():
+    for prm, _ in _draws(8):
+        assert verify_order_conditions(prm).residuals == _ref_order_residuals(prm)
 
 
 def test_stage_factors_equal_the_two_branch_factors_bitwise():
