@@ -1,17 +1,21 @@
 """The k-stage time march: initialization, one step, and the driving loop.
 
 State entries are stored scaled, block m holding tau^m u^(m), which makes
-every update dimensionless. Per step, with T = S W the Taylor predictors of
-the time-n stack W (S = MethodParams._shift), every stage j = 1..k reads its
-row (alpha_j, gamma_j, c_j, b_j) of the stage table (MethodParams._stages),
-takes its pair of blocks (e, o) = (2j - 2, 2j - 1) and solves
+every update dimensionless. Stage j = 1..k reads its row (alpha_j, gamma_j,
+c_j, b_j) of the stage table (MethodParams._stages), takes its pair of blocks
+(e, o) = (2j - 2, 2j - 1) and solves
 
     (alpha_j M + b_j tau K) q_j = -M T[o] - tau K U_j + tau^o F^(e)(t_n + c_j tau),
     U_j = c_j T[e] + (1 - c_j) W[e],
 
-U_j being the stage's displacement at its equation time t_n + c_j tau (c_j = 1,
-or alpha_f for the last stage), and sets new[e] = T[e] + gamma_j q_j and
-new[o] = T[o] + q_j. Stages are mutually decoupled and run in ascending order.
+with T = S W the Taylor predictors of the time-n stack W (S =
+MethodParams._shift) and U_j the stage's displacement at its equation time
+t_n + c_j tau (c_j = 1, or alpha_f for the last stage); then new[e] = T[e] +
+gamma_j q_j and new[o] = T[o] + q_j. Stages are mutually decoupled, so a step
+runs them all at once on (k, n) blocks: one product P W with the predictor
+matrix (MethodParams._predictor) gives the even predictors, the odd
+predictors and every U_j; one band product each gives M T_o and K U; the k
+loads fill one block; and each stage's factorization solves its own row.
 
 StepWorkspace.build(system, params, tau) factors the k stage matrices once and
 keeps the system, the params and tau with them; step(state, t_n, ws) reads all
@@ -24,7 +28,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_file_location
 from math import inf
@@ -167,6 +171,14 @@ class StepWorkspace:
     def n_factorizations(self):
         return len(self.factors)
 
+    @cached_property
+    def _stage_columns(self):
+        """Per stage j: the offset c_j tau of its equation time, and as (k, 1)
+        columns the scale tau^(2j - 1) of its load and its gamma_j."""
+        offsets, scale, g = zip(*((c * self.tau, self.tau ** (2 * j + 1), g)
+                                  for j, (_, g, c, _) in enumerate(self.params._stages)))
+        return offsets, np.array(scale)[:, None], np.array(g)[:, None]
+
     @classmethod
     def build(cls, system, params, tau):
         violations = validate_stability(params)
@@ -227,25 +239,18 @@ def step(state, t_n, ws):
             % (state.k, state.n, state.tau, k, system.n, tau,
                "; a state scaled with tau steps only with that tau" if state.tau != tau else "")
         )
-    W = state.data
-    M, K, S = system.M, system.K, params._shift
-    # Taylor predictors of every block over the rest of the stack:
-    # T[m] = sum_i S[0, i] W[m + i], S[0, i] = S[m, m + i] = 1/i!, summed in ascending i
-    T = W.copy()
-    for i in range(1, 2 * k):
-        T[:2 * k - i] += S[0, i] * W[i:]
-    # every stage's displacement at its equation time t_n + c tau
-    c = params._c
-    U = c * T[0::2] + (1.0 - c) * W[0::2]
-    new = np.empty_like(W)
-    for j, ((_, g, c_j, _), fac) in enumerate(zip(params._stages, ws.factors)):
-        e, o = 2 * j, 2 * j + 1
-        t_e, t_o = T[e], T[o]
-        rhs = (-(M @ t_o) - tau * (K @ U[j])
-               + tau ** o * system.forcing_derivative(e, t_n + c_j * tau))
-        q = fac.solve(rhs)
-        new[e] = t_e + g * q
-        new[o] = t_o + q
+    offsets, scale, g = ws._stage_columns
+    # the even predictors, the odd predictors and every stage's displacement
+    # at its equation time: three (k, n) blocks of one product
+    T_e, T_o, U = (params._predictor @ state.data).reshape(3, k, -1)
+    F = np.empty_like(U)
+    for j, dt in enumerate(offsets):
+        F[j] = system.forcing_derivative(2 * j, t_n + dt)
+    rhs = -(system.M @ T_o) - tau * (system.K @ U) + scale * F
+    Q = np.array([fac.solve(r) for fac, r in zip(ws.factors, rhs)])
+    new = np.empty_like(state.data)
+    new[0::2] = T_e + g * Q
+    new[1::2] = T_o + Q
     return StateVector(k=k, tau=tau, data=new)
 
 

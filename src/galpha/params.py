@@ -93,19 +93,26 @@ class MethodParams:
         return tuple(fsum((a, -g, -c, 0.5)) for a, g, c, _ in self._stages)
 
     @cached_property
-    def _c(self):
-        """The c column of the stage table as a read-only (k, 1) array."""
+    def _predictor(self):
+        """The stepper's predictor matrix P (read-only, 3k x 2k).
+
+        Its three k-row blocks are S[0::2], S[1::2] and c S[0::2] + (1 - c) I[0::2]
+        with c the stage table's c column, so P W stacks the even predictors,
+        the odd predictors and every stage's displacement at its equation time.
+        """
         c = np.array([row[2] for row in self._stages])[:, None]
-        c.flags.writeable = False
-        return c
+        S = self._shift
+        P = np.vstack((S[0::2], S[1::2], c * S[0::2] + (1.0 - c) * np.eye(2 * self.k)[0::2]))
+        P.flags.writeable = False
+        return P
 
     @cached_property
     def _shift(self):
         """The Taylor-shift matrix S, S[m, m + i] = 1/i! (read-only, 2k x 2k).
 
         Row m of S applied to the scaled stack W gives block m's Taylor
-        predictor over one step, sum_i W[m + i] / i!. The stepper's predictors
-        and the dense stage equations of the spectral module both read it.
+        predictor over one step, sum_i W[m + i] / i!. The stepper's predictor
+        matrix and the dense stage equations of the spectral module both read it.
         """
         n = 2 * self.k
         S = np.zeros((n, n))

@@ -9,7 +9,7 @@ requests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, pi, sqrt
+from math import fsum, inf, pi, sqrt
 
 import numpy as np
 
@@ -33,7 +33,8 @@ class SymmetricBanded:
     and row u - d the d-th superdiagonal, ab[u - d, j] = A[j - d, j], with
     its first d entries unused. This is the layout LAPACK's pbtrf/pbtrs read;
     at u <= 1 row u and ab[0, 1:] are the d and e that pttrf reads.
-    A @ x of a vector costs O(u n); toarray() builds the dense matrix for
+    A @ x costs O(u n) for a vector x and O(u m n) for an (m, n) block X,
+    whose row r of A @ X is A @ X[r]; toarray() builds the dense matrix for
     oracles.
     """
 
@@ -86,18 +87,18 @@ class SymmetricBanded:
 
     def __matmul__(self, x):
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.n:
             raise ValueError("cannot multiply an %d x %d band matrix by shape %s"
                              % (self.n, self.n, x.shape))
         ab, u = self.ab, self.u
         y = ab[u] * x
         for d in range(1, u + 1):
-            y[d:] += ab[u - d, d:] * x[:-d]
+            y[..., d:] += ab[u - d, d:] * x[..., :-d]
         for d in range(1, u + 1):
-            y[:-d] += ab[u - d, d:] * x[d:]
+            y[..., :-d] += ab[u - d, d:] * x[..., d:]
         return y
 
-    # x @ A = A @ x for symmetric A and a vector x
+    # for symmetric A, x @ A = A @ x on a vector, and row r of X @ A is A @ X[r]
     __rmatmul__ = __matmul__
 
     def combine(self, a, other, b):
@@ -304,7 +305,8 @@ def l2_error(U_h, case, t):
     """Mass-weighted norm of U_h minus the nodal interpolant of case.u at time t.
 
     The mesh is inferred from the vector length (n interior dofs of a uniform
-    mesh with n + 1 elements).
+    mesh with n + 1 elements). The sum e' M e is math.fsum's, exactly rounded,
+    so the norm does not depend on how a BLAS would split a dot product.
     """
     U = np.asarray(U_h, dtype=float)
     if U.ndim != 1 or U.size < 1:
@@ -314,4 +316,7 @@ def l2_error(U_h, case, t):
     h = 1.0 / ne
     x = (np.arange(1, n + 1)) * h
     e = U - case.u(x, t)
-    return float(np.sqrt(e @ (_fem_mass(ne) @ e)))
+    try:
+        return sqrt(fsum((e * (_fem_mass(ne) @ e)).tolist()))
+    except (OverflowError, ValueError):  # a term or a partial sum past the float range
+        return inf

@@ -366,6 +366,99 @@ def test_banded_step_matches_dense_stage_equations(k):
         assert np.max(np.abs(out.data - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _reference_step(state, t_n, ws):
+    # the step as a loop over the stages: Taylor predictors summed row by row
+    # in ascending i, then each stage's band products, load, solve and update
+    system, params, tau = ws.system, ws.params, ws.tau
+    k = params.k
+    W = state.data
+    M, K, S = system.M, system.K, params._shift
+    T = W.copy()
+    for i in range(1, 2 * k):
+        T[:2 * k - i] += S[0, i] * W[i:]
+    c = np.array([row[2] for row in params._stages])[:, None]
+    U = c * T[0::2] + (1.0 - c) * W[0::2]
+    new = np.empty_like(W)
+    for j, ((_, g, c_j, _), fac) in enumerate(zip(params._stages, ws.factors)):
+        e, o = 2 * j, 2 * j + 1
+        rhs = (-(M @ T[o]) - tau * (K @ U[j])
+               + tau ** o * system.forcing_derivative(e, t_n + c_j * tau))
+        q = fac.solve(rhs)
+        new[e] = T[e] + g * q
+        new[o] = T[o] + q
+    return new
+
+
+def _assert_step_matches_reference(state, t_n, ws, ulps):
+    # bound per block: ulps * eps times the block's maximum, or the input
+    # stack's where the step damps a block far below the terms it sums
+    got = step(state, t_n, ws).data
+    ref = _reference_step(state, t_n, ws)
+    scale = np.maximum(np.max(np.abs(ref), axis=1), np.max(np.abs(state.data)))
+    assert np.all(np.max(np.abs(got - ref), axis=1) <= ulps * np.finfo(float).eps * scale)
+    return ref
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_step_matches_the_stage_loop_on_the_scalar_mode(k):
+    rng = np.random.default_rng(80 + k)
+    system = scalar_mode(1.0)
+    for i in range(40):
+        rho = rng.uniform(0.0, 1.0, k)
+        if i < 2:
+            rho[-1] = i
+        prm = params_from_rho(rho.tolist())
+        tau = 10.0 ** rng.uniform(-3.0, 3.0)
+        state = StateVector(k=k, tau=tau, data=rng.standard_normal((2 * k, 1)))
+        _assert_step_matches_reference(state, 0.0, StepWorkspace.build(system, prm, tau), 64)
+
+
+# the stage matrices at n = 1023 amplify the rounding noise of the band
+# products in the right-hand side, by about 2e3 over random draws
+_BAND_ULPS = 2 ** 14
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_step_matches_the_stage_loop_on_heat(k):
+    # the manufactured sin-decay load is nonzero: each stage's forcing enters;
+    # a self-started march, then random stacks at random tau
+    case = manufactured_heat("sin-decay")
+    system = case.assemble(1024)
+    rng = np.random.default_rng(85 + k)
+    prm = params_from_rho(rng.uniform(0.0, 1.0, k).tolist())
+    tau = 1 / 32
+    state = init_state(system, case.u0(np.arange(1, 1024) / 1024), k, tau)
+    ws = StepWorkspace.build(system, prm, tau)
+    for i in range(3):
+        ref = _assert_step_matches_reference(state, i * tau, ws, _BAND_ULPS)
+        state = StateVector(k=k, tau=tau, data=ref)
+    for _ in range(3):
+        tau = 10.0 ** rng.uniform(-3.0, 0.0)
+        state = StateVector(k=k, tau=tau, data=rng.standard_normal((2 * k, system.n)))
+        _assert_step_matches_reference(state, 0.3, StepWorkspace.build(system, prm, tau),
+                                       _BAND_ULPS)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_step_matches_the_stage_loop_on_a_pentadiagonal_system_under_forcing(k):
+    # u = 2 (banded Cholesky), and a load whose every derivative is nonzero
+    n = 40
+    ramp = np.linspace(0.5, 2.0, n)
+    system = SemiDiscreteSystem(n=n, M=_pentadiagonal(n) + 16.0 * np.eye(n),
+                                K=float(n) ** 2 * _pentadiagonal(n),
+                                forcing=lambda m, t: np.cos(t + m) * ramp)
+    unforced = SemiDiscreteSystem(n=n, M=system.M, K=system.K, forcing=lambda m, t: np.zeros(n))
+    assert system.M.u == system.K.u == 2
+    rng = np.random.default_rng(95 + k)
+    prm = params_from_rho(rng.uniform(0.0, 1.0, k).tolist())
+    for tau in (1e-3, 0.1, 10.0):
+        state = StateVector(k=k, tau=tau, data=rng.standard_normal((2 * k, n)))
+        ref = _assert_step_matches_reference(state, 0.7, StepWorkspace.build(system, prm, tau),
+                                             _BAND_ULPS)
+        assert not np.array_equal(
+            ref, _reference_step(state, 0.7, StepWorkspace.build(unforced, prm, tau)))
+
+
 def test_step_on_a_mesh_too_large_for_dense_storage():
     # n = 65535: dense M and K would take 69 GB; the band takes 1 MiB each
     system = heat_fem_1d(2 ** 16, kappa=1.0)

@@ -1,5 +1,7 @@
 """Model problems: scalar mode, 1D FEM heat system, manufactured case."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -204,6 +206,32 @@ def test_l2_error_constant_offset():
     assert abs(l2_error(U, case, 0.2) - expected) <= 1e-15
 
 
+def test_l2_error_sums_exactly_rounded():
+    # one node off by 1e10 gives a term of about 6.5e16, whose ulp is 8; the
+    # other nodes, off by 30, give about a thousand terms of about 0.88, which a
+    # left-to-right sum drops one by one
+    case = manufactured_heat("sin-decay")
+    ne = 1024
+    x = np.arange(1, ne) / ne
+    U = case.u(x, 0.0) + 30.0
+    U[0] += 1e10
+    e = U - case.u(x, 0.0)
+    terms = e * (case.assemble(ne).M @ e)
+    exact = float(sum(Fraction(v) for v in terms))
+    assert l2_error(U, case, 0.0) == np.sqrt(exact)
+    naive = 0.0
+    for v in terms:
+        naive += v
+    assert abs(naive - exact) > 50 * np.spacing(exact)
+
+
+def test_l2_error_of_an_overflowing_sum_is_infinite():
+    case = manufactured_heat("sin-decay")
+    x = np.arange(1, 8) / 8
+    # every term e_i (M e)_i is finite, about 5e307, but their sum is not
+    assert l2_error(case.u(x, 0.0) + 2e154, case, 0.0) == np.inf
+
+
 def test_l2_error_rejects_bad_shape():
     case = manufactured_heat("sin-decay")
     with pytest.raises(ConfigurationError, match="vector"):
@@ -258,6 +286,27 @@ def test_symmetric_banded_round_trip(A, u):
     v = np.linspace(-1.0, 2.0, A.shape[0])
     np.testing.assert_allclose(B @ v, A @ v, rtol=1e-15, atol=1e-15)
     np.testing.assert_allclose(v @ B, v @ A, rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("u", [0, 1, 2])
+def test_band_product_of_a_block_is_the_product_of_each_row(u):
+    rng = np.random.default_rng(90 + u)
+    A = SymmetricBanded(rng.standard_normal((u + 1, 9)))
+    X = rng.standard_normal((4, 9))
+    for Y in (A @ X, X @ A):
+        assert Y.shape == X.shape
+        for r in range(4):
+            assert Y[r].tobytes() == (A @ X[r]).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 5), (5, 4), (4,), ()],
+                         ids=["3-D", "block-last-axis", "vector", "scalar"])
+def test_band_product_rejects_an_operand_whose_last_axis_is_not_n(shape):
+    A = SymmetricBanded(np.ones((2, 5)))
+    with pytest.raises(ValueError, match="band matrix by shape"):
+        A @ np.ones(shape)
+    with pytest.raises(ValueError, match="band matrix by shape"):
+        np.ones(shape) @ A
 
 
 def test_dense_input_converted_once():
